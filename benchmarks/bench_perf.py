@@ -3,10 +3,7 @@
 Hot paths, each timed against the reference it replaced:
 
 * **simulation** — patterns/sec through the compiled multi-word plan
-  vs the per-gate dictionary walk (forced via ``order=``);
-* **vector simulation** — patterns/sec through the numpy level-batched
-  kernel (``run_lanes``) vs the pure-Python plan interpreter on a
-  20k-gate DAG, interleaved min-of-N timing (skipped without numpy);
+  vs the per-gate dictionary walk of ``tests/netlist/reference_sim.py``;
 * **SAT** — propagations/sec of the flat-arena solver on a pigeonhole
   instance, plus the learned-clause reduction (mark + lazy unhook)
   timed on a synthetic 20k-clause database;
@@ -24,25 +21,17 @@ wall time / SAT / outcome with ``repro runs regress --baseline``.
 import random
 import time
 
-import pytest
-
 from repro.cec.equivalence import nonequivalent_outputs
-from repro.netlist import simd
 from repro.netlist.circuit import Pin
-from repro.netlist.simulate import (
-    batch_mask,
-    compiled_plan,
-    random_patterns,
-    simulate_words,
-)
+from repro.netlist.simulate import batch_mask, compiled_plan, random_patterns
 from repro.netlist.traverse import topological_order
 from repro.sat.solver import Solver
-from repro.workloads.generators import random_dag
 from repro.eco.config import EcoConfig
 from repro.eco.incremental import IncrementalValidator
 from repro.eco.patch import RewireOp
 from repro.eco.validate import validate_rewire
 from repro.bench.runner import traced_case_run
+from tests.netlist.reference_sim import walk_words
 
 #: mid-size suite case: large enough that per-candidate re-encoding
 #: dominates, small enough for a CI smoke job
@@ -74,7 +63,7 @@ def test_perf_simulation(benchmark, suite_cases, publish):
 
     def measure():
         t0 = time.perf_counter()
-        reference = [simulate_words(impl, words, order)
+        reference = [walk_words(impl, words, order)
                      for words in word_sets]
         t1 = time.perf_counter()
         batched = {n: 0 for n in impl.inputs}
@@ -108,72 +97,6 @@ def test_perf_simulation(benchmark, suite_cases, publish):
         f"  compiled plan : {data['plan_patterns_per_s']:>12.0f} "
         f"patterns/s\n"
         f"  speedup       : {data['speedup']:.2f}x"), data=data)
-    assert data["speedup"] > 1.0
-
-
-def test_perf_vector_sim(benchmark, publish, quick):
-    """Level-batched numpy kernel vs the pure-Python plan interpreter.
-
-    Both paths run interleaved and the minimum of N repeats is kept —
-    single-core steal-time noise otherwise dominates the ratio.  The
-    vector side is timed on the array path (``run_lanes``): that is
-    what the batched candidate screen consumes; the bignum conversion
-    of ``run`` is a separate, fixed cost.
-    """
-    if not simd.HAVE_NUMPY:
-        pytest.skip("numpy not installed (repro[perf])")
-    n_gates = 4000 if quick else 20000
-    repeats = 3 if quick else 5
-    width = 4
-    circuit = random_dag(n_inputs=64, n_gates=n_gates, n_outputs=32,
-                         seed=5)
-    rng = random.Random(7)
-    words = {n: 0 for n in circuit.inputs}
-    for r in range(width):
-        for name, word in random_patterns(circuit.inputs, rng).items():
-            words[name] |= word << (64 * r)
-    plan = compiled_plan(circuit)
-    mask = batch_mask(width)
-
-    def measure():
-        previous = simd.set_backend("python")
-        try:
-            python_s = vector_s = float("inf")
-            reference = None
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                reference = plan.run(words, mask=mask)
-                python_s = min(python_s, time.perf_counter() - t0)
-                t0 = time.perf_counter()
-                lanes = plan.run_lanes(words, width)
-                vector_s = min(vector_s, time.perf_counter() - t0)
-            # bit-identity spot check on the last repeat
-            for i in (0, len(reference) // 2, len(reference) - 1):
-                assert simd.lanes_to_int(lanes[i]) == reference[i]
-            return python_s, vector_s
-        finally:
-            simd.set_backend(previous)
-
-    python_s, vector_s = benchmark.pedantic(measure, rounds=1,
-                                            iterations=1)
-    patterns = width * 64
-    data = {
-        "bench": "perf_vector_sim",
-        "gates": n_gates,
-        "width_words": width,
-        "patterns": patterns,
-        "python_patterns_per_s": patterns / python_s,
-        "vector_patterns_per_s": patterns / vector_s,
-        "speedup": python_s / vector_s,
-    }
-    publish("perf_vector_sim.txt", (
-        f"perf: vector simulation, {n_gates} gates, "
-        f"{patterns} patterns (W={width})\n"
-        f"  python plan  : {data['python_patterns_per_s']:>12.0f} "
-        f"patterns/s\n"
-        f"  numpy kernel : {data['vector_patterns_per_s']:>12.0f} "
-        f"patterns/s\n"
-        f"  speedup      : {data['speedup']:.2f}x"), data=data)
     assert data["speedup"] > 1.0
 
 

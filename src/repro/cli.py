@@ -150,7 +150,6 @@ def _cmd_eco(args: argparse.Namespace) -> int:
             resynthesis=args.resynthesis,
             incremental_validate=args.incremental_validate,
             jobs=args.jobs,
-            sim_backend=args.sim_backend,
             seed=args.seed,
             deadline_s=args.deadline,
             total_sat_budget=args.total_sat_budget,
@@ -473,14 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="validate candidates with the legacy "
                         "copy-and-re-encode oracle instead of the "
                         "incremental assumption-based miter")
-    p.add_argument("--sim-backend",
-                   choices=["auto", "python", "numpy"],
-                   default="auto",
-                   help="simulation-kernel backend: auto (default) "
-                        "uses the numpy vector kernels when numpy is "
-                        "installed, python forces the pure-Python "
-                        "oracle paths, numpy requires the repro[perf] "
-                        "extra")
     p.add_argument("--profile", metavar="FILE",
                    help="profile the run with cProfile and write "
                         "sorted stats to FILE")

@@ -79,13 +79,6 @@ class EcoConfig:
             every worker's counters, spans and commits are merged back
             into the main run.  ``1`` (default) keeps the sequential
             path.
-        sim_backend: simulation-kernel backend — ``"auto"`` (default)
-            uses the numpy level-batched vector kernels when numpy is
-            installed and the batch shape favors them, ``"python"``
-            forces the pure-Python bignum paths (the bit-identity
-            oracle), ``"numpy"`` forces the vector kernels and raises
-            when numpy is missing.  Ships as the ``repro[perf]``
-            optional extra; see docs/performance.md.
 
     Run supervision (see ``repro.runtime`` and docs/architecture.md):
 
@@ -171,7 +164,6 @@ class EcoConfig:
     joint_outputs: int = 1
     incremental_validate: bool = True
     jobs: int = 1
-    sim_backend: str = "auto"
     seed: int = 2019
     deadline_s: Optional[float] = None
     total_sat_budget: Optional[int] = None
@@ -201,9 +193,6 @@ class EcoConfig:
                 raise ValueError(f"{name} must be positive")
         if not (self.use_impl_nets or self.use_spec_nets):
             raise ValueError("at least one rewiring-net source is required")
-        if self.sim_backend not in ("auto", "python", "numpy"):
-            raise ValueError(
-                "sim_backend must be one of auto, python, numpy")
         if not 0.0 <= self.error_bias <= 1.0:
             raise ValueError("error_bias must be in [0, 1]")
         if self.exact_domain_max_inputs < 0:

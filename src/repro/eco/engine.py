@@ -43,7 +43,6 @@ from repro.errors import (
     ResourceBudgetExceeded,
 )
 from repro.bdd.manager import BddManager
-from repro.netlist import simd
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.gate import WORD_MASK
 from repro.netlist.simulate import patterns_to_words, simulate_words
@@ -91,15 +90,8 @@ class SysEco:
     serve concurrent ``rectify`` calls.
     """
 
-    #: candidates pre-screened per batched simulation screen call
-    SCREEN_BATCH = 8
-
     def __init__(self, config: Optional[EcoConfig] = None):
         self.config = config or EcoConfig()
-        # backend choice is process-global so pickled plans re-dispatch
-        # correctly inside parallel workers (each worker constructs its
-        # own SysEco from the worker config)
-        simd.set_backend(self.config.sim_backend)
 
     # ------------------------------------------------------------------
     def rectify(self, impl: Circuit, spec: Circuit,
@@ -633,41 +625,22 @@ class SysEco:
                 run.counters.choices += len(choices)
                 # choices are cost-ordered; the simulation screen drops
                 # sampling false positives cheaply, and only the first
-                # few survivors per point-set get a SAT proof.  The sim
-                # screen runs in lookahead batches so the vector
-                # backend can score SCREEN_BATCH candidates per array
-                # evaluation; results are consumed in choice order, so
-                # the SAT decision sequence matches the scalar loop.
+                # few survivors per point-set get a SAT proof
                 sat_tried = 0
-                choice_iter = iter(choices)
-                pending: List[Tuple[List[RewireOp], bool]] = []
-                while True:
+                for choice in choices:
                     if sat_tried >= 3:
                         break
-                    if not pending:
-                        batch: List[List[RewireOp]] = []
-                        for choice in choice_iter:
-                            ops = [
-                                RewireOp(pin, cand.net, cand.from_spec)
-                                for pin, cand in zip(pins, choice)
-                                if not cand.trivial
-                            ]
-                            if not ops:
-                                continue
-                            if not self._lint_screen(run, ctx, ops,
-                                                     port):
-                                continue
-                            batch.append(ops)
-                            if len(batch) >= self.SCREEN_BATCH:
-                                break
-                        if not batch:
-                            break
-                        oks = self._screen_batch(run, sim_filter,
-                                                 batch, port, failing)
-                        pending = list(zip(batch, oks))
-                        pending.reverse()
-                    ops, sim_ok = pending.pop()
-                    if not sim_ok:
+                    ops = [
+                        RewireOp(pin, cand.net, cand.from_spec)
+                        for pin, cand in zip(pins, choice)
+                        if not cand.trivial
+                    ]
+                    if not ops:
+                        continue
+                    if not self._lint_screen(run, ctx, ops, port):
+                        continue
+                    if not self._screen(run, sim_filter, ops, port,
+                                        failing):
                         run.counters.sim_rejects += 1
                         continue
                     sat_tried += 1
@@ -895,23 +868,6 @@ class SysEco:
             ok = sim_filter.passes(ops, port, failing)
             sp.tag(passed=ok)
             return ok
-
-    @staticmethod
-    def _screen_batch(run: RunSupervisor,
-                      sim_filter: SimulationFilter,
-                      ops_batch: Sequence[List[RewireOp]], port: str,
-                      failing: Sequence[str]) -> List[bool]:
-        """Batched simulation-screen decisions, one trace span.
-
-        Result-identical per candidate to :meth:`_screen`; the batch
-        shape only changes how many candidates one array evaluation
-        scores on the vector backend.
-        """
-        with run.trace.span("sim.screen", output=port,
-                            batch=len(ops_batch)) as sp:
-            oks = sim_filter.passes_batch(ops_batch, port, failing)
-            sp.tag(passed=sum(1 for ok in oks if ok))
-            return oks
 
     @staticmethod
     def _lint_screen(run: RunSupervisor, ctx: RewiringContext,

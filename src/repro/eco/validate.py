@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PatchStructureError
-from repro.netlist import simd
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.gate import WORD_BITS
 from repro.netlist.simulate import batch_mask, compiled_plan, eval_opcode
@@ -183,14 +182,6 @@ class SimulationFilter:
     candidate is then screened as a *value overlay* — only gates
     downstream of a rewired pin are re-evaluated, on plain
     integer-indexed values.
-
-    When the numpy backend is active, :meth:`passes_batch` screens a
-    whole batch of candidates as one ``(net, candidate, word)`` array
-    evaluation through a cached
-    :class:`~repro.netlist.simd.OverlayKernel` (see
-    :mod:`repro.netlist.simd`); candidates whose screen result could
-    depend on step order fall back to the scalar overlay, which stays
-    the bit-identity oracle either way.
     """
 
     def __init__(self, impl: Circuit, spec: Circuit,
@@ -215,10 +206,6 @@ class SimulationFilter:
         self.spec_base = self.spec_plan.run(spec_batch, self.mask)
         if counters is not None:
             counters.plan_evals += 2
-        # vector-screen state, built lazily on first passes_batch
-        self._base_vec = None
-        self._spec_lanes = None
-        self._kernels: Dict[frozenset, object] = {}
 
     def _source_value(self, op: RewireOp,
                       updated: Dict[int, int]) -> int:
@@ -291,138 +278,15 @@ class SimulationFilter:
                 return False
         return True
 
-    # ------------------------------------------------------------------
-    # batched vector screen
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _vector_safe(ops: Sequence[RewireOp]) -> bool:
-        """Is a candidate's screen result independent of step order?
-
-        Single-op candidates and all-spec-sourced candidates are: the
-        lint screen guarantees acyclicity, so no rewired source can
-        observe another rewire of the same candidate.  Multi-op
-        candidates with implementation-sourced rewires can (the scalar
-        overlay reads sources in plan-step order), so those keep the
-        scalar path for exact parity.
-        """
-        return len(ops) == 1 or all(op.from_spec for op in ops)
-
-    def _vector_state(self):
-        if self._base_vec is None:
-            vplan = self.plan.vector_plan()
-            self._base_vec = simd.base_vec_from_ints(
-                self.base, vplan.perm, self.width)
-            self._spec_lanes = simd.lanes_from_ints(
-                self.spec_base, self.width)
-        return self.plan.vector_plan(), self._base_vec, \
-            self._spec_lanes
-
-    def _source_rows(self, np, ops_group: List[Sequence[RewireOp]],
-                     pick, vplan, base_vec):
-        """Per-candidate ``(C, W)`` operand rows for one rewired pin."""
-        rows = np.empty((len(ops_group), self.width), dtype=np.uint64)
-        for c, ops in enumerate(ops_group):
-            op = pick(ops)
-            if op.from_spec:
-                rows[c] = self._spec_lanes[
-                    self.spec_plan.index[op.source_net]]
-            else:
-                rows[c] = base_vec[
-                    vplan.perm[self.plan.index[op.source_net]]]
-        return rows
-
     def passes_batch(self, candidates: Sequence[Sequence[RewireOp]],
                      target: str,
                      failing: Sequence[str]) -> List[bool]:
-        """Screen a batch of candidates; one bool per candidate.
+        """:meth:`passes` for each candidate, in order.
 
-        Result-identical to calling :meth:`passes` per candidate.  With
-        the numpy backend active, order-independent candidates sharing
-        a pin set are scored as one ``(net, candidate, word)`` array
-        evaluation; everything else (and every candidate, when the
-        backend is off) goes through the scalar overlay.
+        The repository benchmark's ledger (``perfbench/ledger.py``)
+        wraps this method by name, so it stays while that ledger does.
         """
-        results: List[Optional[bool]] = [None] * len(candidates)
-        groups: Dict[tuple, List[int]] = {}
-        if simd.use_vector_screen(len(candidates)):
-            for ci, ops in enumerate(candidates):
-                if self._vector_safe(ops):
-                    key = tuple(sorted(
-                        (self.plan.index[op.pin.owner], op.pin.index)
-                        for op in ops if not op.pin.is_output_port))
-                    groups.setdefault(key, []).append(ci)
-        for key, cis in groups.items():
-            group_results = self._passes_vector(
-                key, [candidates[ci] for ci in cis], target, failing)
-            for ci, ok in zip(cis, group_results):
-                results[ci] = ok
-        for ci, ops in enumerate(candidates):
-            if results[ci] is None:
-                results[ci] = self.passes(ops, target, failing)
-        return results  # type: ignore[return-value]
-
-    def _passes_vector(self, key: tuple,
-                       ops_group: List[Sequence[RewireOp]],
-                       target: str,
-                       failing: Sequence[str]) -> List[bool]:
-        """Vector screen of candidates sharing one gate-pin set."""
-        np = simd._np  # only reached when simd reports numpy present
-        vplan, base_vec, spec_lanes = self._vector_state()
-        if self.counters is not None:
-            self.counters.plan_evals += len(ops_group)
-
-        owners = frozenset(idx for idx, _pos in key)
-        kernel = self._kernels.get(owners)
-        if kernel is None:
-            kernel = simd.OverlayKernel(vplan, self.plan.steps, owners)
-            self._kernels[owners] = kernel
-
-        overrides = {}
-        for gate_idx, pos in key:
-            def pick(ops, gi=gate_idx, p=pos):
-                chosen = None
-                for op in ops:  # last op per pin wins, as in passes()
-                    if not op.pin.is_output_port and \
-                            self.plan.index[op.pin.owner] == gi and \
-                            op.pin.index == p:
-                        chosen = op
-                return chosen
-            overrides[(gate_idx, pos)] = self._source_rows(
-                np, ops_group, pick, vplan, base_vec)
-
-        values = kernel.evaluate(base_vec, len(ops_group), overrides)
-
-        failing_set = set(failing) - {target}
-        ok = np.ones(len(ops_group), dtype=bool)
-        index = self.plan.index
-        spec_index = self.spec_plan.index
-        perm = vplan.perm
-        for port, net in self.impl.outputs.items():
-            if port in failing_set:
-                continue
-            spec_row = spec_lanes[spec_index[self.spec.outputs[port]]]
-            port_ops = [(c, op) for c, ops in enumerate(ops_group)
-                        for op in ops
-                        if op.pin.is_output_port and
-                        op.pin.owner == port]
-            if not port_ops and \
-                    index[net] not in kernel.affected_plan:
-                # untouched output: base comparison decides the whole
-                # group at once
-                if not bool((base_vec[perm[index[net]]]
-                             == spec_row).all()):
-                    ok[:] = False
-                continue
-            got = values[perm[index[net]]]
-            if port_ops:
-                got = got.copy()
-                for c, op in port_ops:
-                    if op.from_spec:
-                        got[c] = spec_lanes[spec_index[op.source_net]]
-                    else:
-                        got[c] = values[perm[index[op.source_net]], c]
-            ok &= (got == spec_row).all(axis=-1)
-        return [bool(v) for v in ok]
+        return [self.passes(ops, target, failing) for ops in candidates]
 
 
 @dataclass

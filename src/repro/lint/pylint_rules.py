@@ -22,10 +22,9 @@ relies on but Python cannot express:
   outside the sanctioned packages.
 * ``RI006`` — no ``print()`` in library modules; only the CLI prints,
   everything else logs.
-* ``RI007`` — no ``numpy`` imports outside the vector kernel module
-  :mod:`repro.netlist.simd`; numpy is an *optional* extra
-  (``repro[perf]``) and every other module must stay importable
-  without it, reaching the arrays only through the simd facade.
+* ``RI007`` — no ``numpy`` imports anywhere in the package: the
+  program has no dependencies, and its one simulation path is the
+  pure-Python :class:`~repro.netlist.simulate.CompiledPlan`.
 
 Allowlists are module-path prefixes relative to the package root
 (POSIX separators); they are part of the invariant definition and are
@@ -68,11 +67,8 @@ MUTATION_ALLOWED: Tuple[str, ...] = (
     "repro/workloads/",
 )
 
-#: the only module allowed to import numpy (the optional ``perf``
-#: extra); everything else goes through the repro.netlist.simd facade
-NUMPY_ALLOWED: Tuple[str, ...] = (
-    "repro/netlist/simd.py",
-)
+#: modules allowed to import numpy: none, the package is stdlib-only
+NUMPY_ALLOWED: Tuple[str, ...] = ()
 
 #: modules allowed to print to stdout
 PRINT_ALLOWED: Tuple[str, ...] = (
@@ -189,11 +185,10 @@ class _InvariantVisitor(ast.NodeVisitor):
                     and not _allowed(self.module, NUMPY_ALLOWED):
                 self._flag(
                     "RI007",
-                    "numpy import outside the vector kernel module",
+                    "numpy import in a stdlib-only package",
                     node,
-                    hint="numpy is the optional repro[perf] extra; go "
-                         "through repro.netlist.simd so every module "
-                         "stays importable without it")
+                    hint="the package has no dependencies; simulate "
+                         "through repro.netlist.simulate.CompiledPlan")
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -202,11 +197,10 @@ class _InvariantVisitor(ast.NodeVisitor):
                 and not _allowed(self.module, NUMPY_ALLOWED):
             self._flag(
                 "RI007",
-                "numpy import outside the vector kernel module",
+                "numpy import in a stdlib-only package",
                 node,
-                hint="numpy is the optional repro[perf] extra; go "
-                     "through repro.netlist.simd so every module "
-                     "stays importable without it")
+                hint="the package has no dependencies; simulate "
+                     "through repro.netlist.simulate.CompiledPlan")
         self.generic_visit(node)
 
     # ------------------------------------------------------------------

@@ -21,9 +21,8 @@ import random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import NetlistError
-from repro.netlist import simd
 from repro.netlist.circuit import Circuit
-from repro.netlist.gate import WORD_BITS, WORD_MASK, GateType, eval_gate
+from repro.netlist.gate import WORD_BITS, WORD_MASK, GateType
 from repro.netlist.traverse import topological_order
 
 # CompiledPlan opcodes: small ints dispatchable without enum hashing.
@@ -105,15 +104,9 @@ class CompiledPlan:
 
     A plan is immutable and pure data (tuples of ints and strings), so
     it pickles cleanly and can be shared across process-pool workers.
-    When the numpy backend is active (:mod:`repro.netlist.simd`),
-    whole-word batches are dispatched to a lazily compiled
-    :class:`~repro.netlist.simd.VectorPlan` twin; the ``_vec`` cache is
-    dropped on pickling so plans still cross process boundaries into
-    numpy-free interpreters.
     """
 
-    __slots__ = ("names", "index", "num_inputs", "steps", "evals",
-                 "_vec")
+    __slots__ = ("names", "index", "num_inputs", "steps", "evals")
 
     def __init__(self, circuit: Circuit,
                  roots: Optional[Sequence[str]] = None):
@@ -144,35 +137,6 @@ class CompiledPlan:
         #: batch evaluations performed through this plan (telemetry;
         #: the engine folds it into ``RunCounters.plan_evals``)
         self.evals = 0
-        self._vec = None
-
-    # ------------------------------------------------------------------
-    # the vector twin must not pickle: plans ship to process-pool
-    # workers that may run in numpy-free interpreters
-    def __getstate__(self):
-        return (self.names, self.index, self.num_inputs, self.steps,
-                self.evals)
-
-    def __setstate__(self, state):
-        (self.names, self.index, self.num_inputs, self.steps,
-         self.evals) = state
-        self._vec = None
-
-    # ------------------------------------------------------------------
-    def vector_plan(self):
-        """The lazily compiled :class:`~repro.netlist.simd.VectorPlan`
-        twin (numpy backend only)."""
-        if self._vec is None:
-            self._vec = simd.compile_vector(self)
-        return self._vec
-
-    @staticmethod
-    def _mask_words(mask: int) -> int:
-        """Word count of a whole-word batch mask, else 0."""
-        bits = mask.bit_length()
-        if bits % WORD_BITS == 0 and mask == (1 << bits) - 1:
-            return bits // WORD_BITS
-        return 0
 
     # ------------------------------------------------------------------
     def run(self, input_words: Mapping[str, int],
@@ -180,16 +144,8 @@ class CompiledPlan:
         """Evaluate one batch; returns values indexed like ``names``.
 
         ``mask`` widens the batch: pass :func:`batch_mask` of the word
-        count to evaluate ``W`` x 64 patterns in one pass.  Whole-word
-        batches ride the numpy level-batched kernel when the vector
-        backend is active (bit-identical; see
-        :mod:`repro.netlist.simd`).
+        count to evaluate ``W`` x 64 patterns in one pass.
         """
-        width = self._mask_words(mask)
-        if width and simd.use_vector_run(width, len(self.steps)):
-            self.evals += 1
-            return self.vector_plan().run_ints(self.names, input_words,
-                                               width)
         values = [0] * len(self.names)
         names = self.names
         for i in range(self.num_inputs):
@@ -235,21 +191,18 @@ class CompiledPlan:
         values = self.run(input_words, mask)
         return dict(zip(self.names, values))
 
-    def run_lanes(self, input_words: Mapping[str, int], width: int):
-        """Array-native evaluation: a ``(num_nets, width)`` uint64
-        ndarray indexed like ``names`` (lane ``w`` = patterns
-        ``64*w..64*w+63``).  Requires the numpy backend; array
-        consumers (benchmarks, the batched candidate screen) use this
-        to skip the ndarray -> bignum conversion that :meth:`run`
-        pays on the vector path.
+    def run_lanes(self, input_words: Mapping[str, int],
+                  width: int) -> List[List[int]]:
+        """Evaluate a ``width``-word batch; per net (indexed like
+        ``names``), its ``width`` 64-bit words, lane ``w`` holding
+        patterns ``64*w .. 64*w+63``.
+
+        The repository benchmark's ledger (``perfbench/ledger.py``)
+        wraps this method by name, so it stays while that ledger does.
         """
-        if not simd.HAVE_NUMPY:
-            raise NetlistError(
-                "CompiledPlan.run_lanes requires numpy "
-                "(pip install repro[perf])")
-        self.evals += 1
-        return self.vector_plan().run_lanes(self.names, input_words,
-                                            width)
+        values = self.run(input_words, batch_mask(width))
+        return [[(v >> (WORD_BITS * w)) & WORD_MASK for w in range(width)]
+                for v in values]
 
 
 _PLAN_KEY = "sim_plan"
@@ -272,34 +225,18 @@ def compiled_plan(circuit: Circuit,
 
 
 def simulate_words(circuit: Circuit,
-                   input_words: Mapping[str, int],
-                   order: Optional[Sequence[str]] = None) -> Dict[str, int]:
+                   input_words: Mapping[str, int]) -> Dict[str, int]:
     """Evaluate every net on 64 packed input patterns.
 
     Args:
         circuit: the netlist to simulate.
         input_words: 64-bit word per primary input.
-        order: optional explicit topological order.  Without one the
-            circuit's cached :class:`CompiledPlan` evaluates the batch;
-            passing an order (e.g. a cone's) forces the reference
-            per-gate dictionary walk over exactly those gates.
 
     Returns:
-        Mapping from every net name to its 64-bit output word.
+        Mapping from every net name to its 64-bit output word, computed
+        by the circuit's cached :class:`CompiledPlan`.
     """
-    if order is None:
-        return compiled_plan(circuit).run_dict(input_words)
-    values: Dict[str, int] = {}
-    for name in circuit.inputs:
-        try:
-            values[name] = input_words[name] & WORD_MASK
-        except KeyError:
-            raise NetlistError(f"missing value for input {name!r}")
-    gates = circuit.gates
-    for name in order:
-        gate = gates[name]
-        values[name] = eval_gate(gate.gtype, [values[f] for f in gate.fanins])
-    return values
+    return compiled_plan(circuit).run_dict(input_words)
 
 
 def simulate(circuit: Circuit,
@@ -357,8 +294,8 @@ def words_to_patterns(inputs: Sequence[str], words: Mapping[str, int],
     return out
 
 
-def signature(circuit: Circuit, rounds: int, seed: int = 2019,
-              order: Optional[Sequence[str]] = None) -> Dict[str, int]:
+def signature(circuit: Circuit, rounds: int,
+              seed: int = 2019) -> Dict[str, int]:
     """Multi-round random simulation signature of every net.
 
     Concatenates ``rounds`` 64-bit words into one integer per net; equal
@@ -366,20 +303,11 @@ def signature(circuit: Circuit, rounds: int, seed: int = 2019,
     SAT in :mod:`repro.cec.sweep`).
 
     All rounds are evaluated as one multi-word batch through the
-    circuit's compiled plan (round ``r`` occupies the batch's lane
-    ``rounds - 1 - r``, reproducing the shift-and-or concatenation of
-    the per-round reference loop bit for bit).
+    circuit's compiled plan: round ``r`` occupies the batch's lane
+    ``rounds - 1 - r``, so the result equals shifting each round's word
+    in after the previous ones.
     """
     rng = random.Random(seed)
-    if order is not None:
-        # reference path: per-round dictionary walk over a given order
-        sigs: Dict[str, int] = {n: 0 for n in circuit.nets()}
-        for _ in range(rounds):
-            words = random_patterns(circuit.inputs, rng)
-            values = simulate_words(circuit, words, order)
-            for net in sigs:
-                sigs[net] = (sigs[net] << WORD_BITS) | values[net]
-        return sigs
     batched: Dict[str, int] = {n: 0 for n in circuit.inputs}
     for r in range(rounds):
         shift = WORD_BITS * (rounds - 1 - r)

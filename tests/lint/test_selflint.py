@@ -85,11 +85,6 @@ class TestRules:
         report = run("import numpy.linalg\n")
         assert "RI007" in report.codes()
 
-    def test_ri007_allowed_in_simd(self):
-        report = run("import numpy as np\n",
-                     module="repro/netlist/simd.py")
-        assert report.ok
-
     def test_ri007_relative_import_is_fine(self):
         # `from .numpy import x` is a local module, not the library
         report = run("from .numpy import helper\n")

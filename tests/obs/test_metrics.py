@@ -136,6 +136,27 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             reg.gauge("repro_n")
 
+    def test_kind_collision_detected_after_racing_creation(self):
+        """The unlocked read misses, another thread creates the series,
+        and the locked re-check finds it: the kind check must still
+        apply on that path."""
+        reg = MetricsRegistry()
+        reg.counter("repro_n")
+
+        class FirstGetMisses(dict):
+            missed = False
+
+            def get(self, key, default=None):
+                if not FirstGetMisses.missed:
+                    FirstGetMisses.missed = True
+                    return default
+                return super().get(key, default)
+
+        reg._series = FirstGetMisses(reg._series)
+        with pytest.raises(ValueError, match="already registered"):
+            reg.gauge("repro_n")
+        assert FirstGetMisses.missed
+
     def test_names_are_sanitized(self):
         reg = MetricsRegistry()
         reg.counter("repro bad-name.total")
