@@ -9,7 +9,10 @@ Hot paths, each timed against the reference it replaced:
   timed on a synthetic 20k-clause database;
 * **validation** — candidates/sec through the persistent incremental
   miter vs the copy-and-re-encode ``validate_rewire`` path, with a
-  verdict-parity sanity check on every candidate.
+  verdict-parity sanity check on every candidate;
+* **final verification** — per-output queries over every output of a
+  patched netlist vs the engine's re-proof of only the outputs that
+  failed at diagnosis or whose structural key changed.
 
 The rendered table and JSON twin land in ``benchmarks/results/`` via
 the shared publisher, and a traced engine run (incremental validation
@@ -21,12 +24,13 @@ wall time / SAT / outcome with ``repro runs regress --baseline``.
 import random
 import time
 
-from repro.cec.equivalence import nonequivalent_outputs
+from repro.cec.equivalence import check_equivalence, nonequivalent_outputs
 from repro.netlist.circuit import Pin
 from repro.netlist.simulate import batch_mask, compiled_plan, random_patterns
 from repro.netlist.traverse import topological_order
 from repro.sat.solver import Solver
 from repro.eco.config import EcoConfig
+from repro.eco.engine import DiagnosedOutputs, rectify
 from repro.eco.incremental import IncrementalValidator
 from repro.eco.patch import RewireOp
 from repro.eco.validate import validate_rewire
@@ -205,6 +209,49 @@ def test_perf_validation(benchmark, suite_cases, publish):
         f"{data['incremental_candidates_per_s']:>8.1f} candidates/s\n"
         f"  speedup                   : {data['speedup']:.2f}x"),
         data=data)
+    assert data["speedup"] > 1.0
+
+
+def test_perf_verification(benchmark, suite_cases, publish, quick):
+    """Full per-output verification vs the restricted re-proof."""
+    case = suite_cases[PERF_CASE]
+    impl, spec = case.impl, case.spec
+    diagnosed = DiagnosedOutputs(impl, nonequivalent_outputs(impl, spec))
+    patched = rectify(impl, spec, EcoConfig(seed=3)).patched
+    full = [p for p in patched.outputs if p in spec.outputs]
+    reprove = diagnosed.to_reprove(patched, full)
+    repeats = 3 if quick else 7
+
+    def best_of(outputs):
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            verdict = check_equivalence(patched, spec, outputs=outputs)
+            best = min(best, time.perf_counter() - t0)
+            assert verdict.equivalent is True
+        return best
+
+    full_s, restricted_s = benchmark.pedantic(
+        lambda: (best_of(full), best_of(reprove)), rounds=1, iterations=1)
+    data = {
+        "bench": "perf_verification",
+        "case_id": PERF_CASE,
+        "outputs": len(full),
+        "reproved": len(reprove),
+        "full_ms": full_s * 1000,
+        "restricted_ms": restricted_s * 1000,
+        "speedup": full_s / restricted_s,
+    }
+    every = f"every output ({len(full)})"
+    changed = f"changed + failing ({len(reprove)})"
+    publish("perf_verification.txt", (
+        f"perf: final verification, case {PERF_CASE} "
+        f"(min of {repeats})\n"
+        f"  {every:<22} : {data['full_ms']:>8.1f} ms\n"
+        f"  {changed:<22} : {data['restricted_ms']:>8.1f} ms\n"
+        f"  {'speedup':<22} : {data['speedup']:.2f}x"),
+        data=data)
+    assert 0 < len(reprove) < len(full)
     assert data["speedup"] > 1.0
 
 

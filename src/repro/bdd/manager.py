@@ -339,10 +339,6 @@ class BddManager:
         def level(node: int) -> int:
             return n if node <= TRUE else self._var[node]
 
-        top_support = max(self.support(f), default=-1)
-        if top_support >= n:
-            raise BddError(
-                f"num_vars={n} does not cover support variable {top_support}")
         memo: Dict[int, int] = {}
 
         def count(node: int) -> int:
@@ -354,8 +350,13 @@ class BddManager:
             hit = memo.get(node)
             if hit is not None:
                 return hit
+            here = self._var[node]
+            # every internal node is visited once, so this covers the
+            # whole support without a separate walk
+            if here >= n:
+                raise BddError(
+                    f"num_vars={n} does not cover support variable {here}")
             lo, hi = self._lo[node], self._hi[node]
-            here = level(node)
             total = (count(lo) << (level(lo) - here - 1)) + \
                     (count(hi) << (level(hi) - here - 1))
             memo[node] = total

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import NetlistError
 from repro.netlist.circuit import Circuit
-from repro.sat import Solver, SAT, UNSAT, UNKNOWN
+from repro.sat import Solver, UNSAT, UNKNOWN
 from repro.sat.tseitin import CircuitEncoder
 
 
@@ -102,51 +102,138 @@ def check_output_pair(left: Circuit, right: Circuit, port: str,
         port, conflict_budget=conflict_budget)
 
 
+#: random 64-pattern words of the simulation pre-pass
+_SIM_ROUNDS = 8
+
+
 def check_equivalence(left: Circuit, right: Circuit,
                       outputs: Optional[Sequence[str]] = None,
                       conflict_budget: Optional[int] = None
                       ) -> EquivalenceResult:
-    """Full equivalence over shared (or given) output ports."""
-    if outputs is None:
-        outputs = [p for p in left.outputs if p in right.outputs]
+    """Full equivalence over shared (or given) output ports.
+
+    One assumption query per port on a single
+    :class:`PairwiseChecker`, after the same simulation pre-pass as
+    :func:`nonequivalent_outputs`; the check stops at the first failing
+    port.  ``failing_outputs`` lists exactly the ports that differ
+    under the returned counterexample (both sides are simulated on
+    it).  ``conflict_budget`` bounds the conflicts of the whole call,
+    summed over all ports; the verdict is ``None`` once it is spent.
+    """
+    outputs = _compared_outputs(left, right, outputs)
     if not outputs:
         raise NetlistError("no shared outputs to compare")
+    # ``left`` is typically a patched netlist the caller returns: keep
+    # no plan in its derived cache
+    for _port, verdict, cex in _port_verdicts(
+            left, right, outputs, _SIM_ROUNDS, conflict_budget,
+            cache_left=False):
+        if verdict is None:
+            return EquivalenceResult(None)
+        if verdict is False:
+            return EquivalenceResult(
+                False, counterexample=cex,
+                failing_outputs=_differing_ports(left, right, outputs, cex))
+    return EquivalenceResult(True)
+
+
+def _compared_outputs(left: Circuit, right: Circuit,
+                      outputs: Optional[Sequence[str]]) -> List[str]:
+    if outputs is None:
+        return [p for p in left.outputs if p in right.outputs]
+    for port in outputs:
+        if port not in left.outputs or port not in right.outputs:
+            raise NetlistError(f"output {port!r} missing on one side")
+    return list(outputs)
+
+
+def _output_words(circuit: Circuit, outputs: Sequence[str],
+                  words: Dict[str, int], mask: int,
+                  cached: bool) -> Dict[str, int]:
+    """Values of the ``outputs`` ports on one multi-word batch.
+
+    ``cached`` runs the circuit's cached whole-circuit plan; otherwise
+    an uncached plan of just the ports' cones is built, so the plan
+    does not outlive the call.
+    """
+    from repro.netlist.simulate import CompiledPlan, compiled_plan
+
+    if cached:
+        plan = compiled_plan(circuit)
+    else:
+        plan = CompiledPlan(circuit,
+                            roots=[circuit.outputs[p] for p in outputs])
+    values = plan.run(words, mask)
+    return {p: values[plan.index[circuit.outputs[p]]] for p in outputs}
+
+
+def _differing_ports(left: Circuit, right: Circuit, outputs: Sequence[str],
+                     cex: Dict[str, bool]) -> Tuple[str, ...]:
+    """The ports of ``outputs`` whose values differ under ``cex``."""
+    words = {n: int(v) for n, v in cex.items()}
+    lvals = _output_words(left, outputs, words, 1, cached=False)
+    rvals = _output_words(right, outputs, words, 1, cached=True)
+    return tuple(p for p in outputs if lvals[p] != rvals[p])
+
+
+def _port_verdicts(left: Circuit, right: Circuit, outputs: Sequence[str],
+                   sim_rounds: int, conflict_budget: Optional[int] = None,
+                   cache_left: bool = True
+                   ) -> Iterator[Tuple[str, Optional[bool],
+                                       Optional[Dict[str, bool]]]]:
+    """Yield ``(port, equivalent, counterexample)`` for each port.
+
+    The shared core of :func:`check_equivalence` and
+    :func:`nonequivalent_outputs`.  ``sim_rounds`` random 64-pattern
+    words pre-classify the ports: a port whose simulated values differ
+    is *exactly* non-equivalent (the differing pattern is its
+    counterexample) and is yielded first; every simulation-equal port
+    then pays one assumption query on one :class:`PairwiseChecker`, so
+    learned clauses carry from port to port.  ``conflict_budget`` is a
+    total over all queries; the port whose query exhausts it is
+    yielded as ``None`` and the generator stops.  ``cache_left``
+    picks the left side's simulation plan (see :func:`_output_words`);
+    the right side always uses its cached plan.
+    """
+    import random
+
+    from repro.netlist.simulate import batch_mask
+
+    todo = list(outputs)
+    if sim_rounds:
+        rng = random.Random(2019)
+        mask = batch_mask(sim_rounds)
+        # shared words keyed by sorted name: input order independent
+        words = {n: rng.getrandbits(64 * sim_rounds)
+                 for n in sorted(set(left.inputs) | set(right.inputs))}
+        lvals = _output_words(left, outputs, words, mask, cache_left)
+        rvals = _output_words(right, outputs, words, mask, cached=True)
+        todo = []
+        for port in outputs:
+            diff = lvals[port] ^ rvals[port]
+            if not diff:
+                todo.append(port)
+                continue
+            bit = (diff & -diff).bit_length() - 1
+            yield port, False, {n: bool((w >> bit) & 1)
+                                for n, w in words.items()}
+    if not todo:
+        return
     checker = PairwiseChecker(left, right)
-    diff_lits = [checker.diff_literal(p) for p in outputs]
-    # one auxiliary 'any difference' variable
-    any_var = checker.solver.new_var()
-    checker.solver.add_clause([-any_var] + diff_lits)
-    for lit in diff_lits:
-        checker.solver.add_clause([any_var, -lit])
-    status = checker.solver.solve(assumptions=[any_var],
-                                  conflict_budget=conflict_budget)
-    if status == UNSAT:
-        return EquivalenceResult(True)
-    if status == UNKNOWN:
-        return EquivalenceResult(None)
-    model = checker.solver.model()
-    failing = tuple(
-        p for p, lit in zip(outputs, diff_lits) if model.get(lit, False)
-    )
-    return EquivalenceResult(False,
-                             counterexample=checker._extract_inputs(),
-                             failing_outputs=failing)
-
-
-def _output_words(circuit: Circuit, words: Dict[str, int],
-                  mask: int) -> Dict[str, int]:
-    """Output-port values of one multi-word batch (compiled plan)."""
-    from repro.netlist.simulate import compiled_plan
-
-    plan = compiled_plan(circuit)
-    values = plan.run({n: words[n] for n in circuit.inputs}, mask)
-    return {p: values[plan.index[net]]
-            for p, net in circuit.outputs.items()}
+    for port in todo:
+        budget = None
+        if conflict_budget is not None:
+            # the checker's fresh solver counts this call's conflicts
+            budget = conflict_budget - checker.solver.conflicts
+        result = checker.check_pair(port, conflict_budget=budget)
+        yield port, result.equivalent, result.counterexample
+        if result.equivalent is None:
+            return
 
 
 def nonequivalent_outputs(left: Circuit, right: Circuit,
                           outputs: Optional[Sequence[str]] = None,
-                          sim_rounds: int = 8) -> List[str]:
+                          sim_rounds: int = _SIM_ROUNDS) -> List[str]:
     """All output ports on which the two circuits disagree.
 
     This is the work-list of the ECO flow (Section 5.2): the engine
@@ -157,31 +244,7 @@ def nonequivalent_outputs(left: Circuit, right: Circuit,
     differing pattern is a counterexample), so only simulation-equal
     ports pay a SAT query.  ``sim_rounds=0`` disables the pre-pass.
     """
-    import random
-
-    from repro.netlist.simulate import batch_mask
-
-    if outputs is None:
-        outputs = [p for p in left.outputs if p in right.outputs]
-    bad = set()
-    todo = list(outputs)
-    if sim_rounds:
-        rng = random.Random(2019)
-        mask = batch_mask(sim_rounds)
-        # shared words keyed by sorted name: input order independent
-        words = {n: rng.getrandbits(64 * sim_rounds)
-                 for n in sorted(set(left.inputs) | set(right.inputs))}
-        lvals = _output_words(left, words, mask)
-        rvals = _output_words(right, words, mask)
-        todo = []
-        for port in outputs:
-            if lvals[port] != rvals[port]:
-                bad.add(port)
-            else:
-                todo.append(port)
-    if todo:
-        checker = PairwiseChecker(left, right)
-        for port in todo:
-            if checker.check_pair(port).equivalent is False:
-                bad.add(port)
+    outputs = _compared_outputs(left, right, outputs)
+    bad = {port for port, verdict, _cex in _port_verdicts(
+        left, right, outputs, sim_rounds) if verdict is False}
     return [p for p in outputs if p in bad]

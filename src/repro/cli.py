@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left", help="BLIF file")
     p.add_argument("right", help="BLIF file")
     p.add_argument("--budget", type=int, default=None,
-                   help="SAT conflict budget")
+                   help="SAT conflict budget, total over all outputs")
     p.set_defaults(func=_cmd_cec)
 
     p = sub.add_parser("synth", help="run an optimization script")

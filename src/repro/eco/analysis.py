@@ -94,34 +94,9 @@ def structural_similarity(impl: Circuit, spec: Circuit) -> float:
     implementation (easy for structural ECO), values near the inputs'
     baseline mean the netlists only agree at the PIs.
     """
-    impl_keys = structural_hash(impl)
-    spec_keys = structural_hash(spec)
-    # keys are interned per-circuit; re-intern through a common table
     common: Dict[object, int] = {}
-
-    def canon(circuit: Circuit, keys: Dict[str, int]) -> Dict[str, int]:
-        # rebuild canonical keys by traversing with a shared intern table
-        from repro.netlist.gate import SYMMETRIC_TYPES
-        from repro.netlist.traverse import topological_order
-        out: Dict[str, int] = {}
-
-        def intern(sig: object) -> int:
-            if sig not in common:
-                common[sig] = len(common)
-            return common[sig]
-
-        for name in circuit.inputs:
-            out[name] = intern(("input", name))
-        for name in topological_order(circuit):
-            gate = circuit.gates[name]
-            fk = tuple(out[f] for f in gate.fanins)
-            if gate.gtype in SYMMETRIC_TYPES:
-                fk = tuple(sorted(fk))
-            out[name] = intern((gate.gtype, fk))
-        return out
-
-    impl_canon = canon(impl, impl_keys)
-    spec_canon = canon(spec, spec_keys)
+    impl_canon = structural_hash(impl, common)
+    spec_canon = structural_hash(spec, common)
     impl_set = set(impl_canon.values())
     spec_gates = [spec_canon[g] for g in spec.gates]
     if not spec_gates:

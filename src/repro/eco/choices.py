@@ -216,6 +216,7 @@ def _enumerate_choices_joint(
         combos.append((total, tuple(k for _, k in combo)))
     combos.sort()
 
+    xi_support = manager.support(xi)
     choices: List[Choice] = []
     for _, ks in combos:
         if all(candidates[i][k].trivial for i, k in enumerate(ks)):
@@ -226,7 +227,7 @@ def _enumerate_choices_joint(
             bits = len(word)
             for b in range(bits):
                 assignment[word[b]] = bool((k >> (bits - 1 - b)) & 1)
-        if manager.evaluate(xi, _pad(assignment, manager.support(xi))):
+        if manager.evaluate(xi, _pad(assignment, xi_support)):
             choices.append(tuple(
                 candidates[i][k] for i, k in enumerate(ks)))
             if len(choices) >= limit:

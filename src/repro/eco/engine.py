@@ -16,7 +16,9 @@ of the current implementation ``C`` and revised specification ``C'``
 A guaranteed fallback (rewiring the output port itself to a clone of
 the revised function — the completeness argument of Section 3.3)
 handles outputs the search cannot fix within budget.  Afterwards the
-patch inputs are refined by sweeping against existing logic.
+patch inputs are refined by sweeping against existing logic, and the
+final verification re-proves the outputs that failed at diagnosis or
+whose cone changed since (see :class:`DiagnosedOutputs`).
 
 Every resource-bounded step runs under a per-run
 :class:`~repro.runtime.supervisor.RunSupervisor`: a wall-clock deadline
@@ -45,6 +47,7 @@ from repro.errors import (
 from repro.bdd.manager import BddManager
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.gate import WORD_MASK
+from repro.netlist.hashing import structural_hash
 from repro.netlist.simulate import patterns_to_words, simulate_words
 from repro.netlist.traverse import (
     levelize,
@@ -52,7 +55,11 @@ from repro.netlist.traverse import (
     topological_order,
     transitive_fanin,
 )
-from repro.cec.equivalence import check_equivalence, nonequivalent_outputs
+from repro.cec.equivalence import (
+    EquivalenceResult,
+    check_equivalence,
+    nonequivalent_outputs,
+)
 from repro.eco.choices import (
     enumerate_rewiring_choices,
     make_clone_aware_cost,
@@ -79,6 +86,34 @@ from repro.runtime.supervisor import RunSupervisor
 
 
 logger = logging.getLogger("repro.eco")
+
+
+class DiagnosedOutputs:
+    """What diagnosis proved, kept so final verification can rely on it.
+
+    Diagnosis SAT-proves every output it does not report failing
+    equivalent to the spec.  Each output's structural key is recorded
+    through an intern table that outlives the call, so keys of the
+    final netlist compare with the diagnosed ones: an equal key means a
+    structurally identical cone over the same inputs, hence the same
+    function, and that output's diagnosis proof still holds.  Only the
+    keys are kept, not a copy of the netlist.
+    """
+
+    def __init__(self, circuit: Circuit, failing: Sequence[str]):
+        self._table: Dict[object, int] = {}
+        keys = structural_hash(circuit, self._table)
+        self._keys = {p: keys[n] for p, n in circuit.outputs.items()}
+        self.failing = frozenset(failing)
+
+    def to_reprove(self, circuit: Circuit,
+                   outputs: Sequence[str]) -> List[str]:
+        """The ports of ``outputs`` that failed at diagnosis or whose
+        cone changed since; every other port is already proven."""
+        keys = structural_hash(circuit, self._table)
+        return [p for p in outputs
+                if p in self.failing
+                or self._keys[p] != keys[circuit.outputs[p]]]
 
 
 class SysEco:
@@ -178,6 +213,7 @@ class SysEco:
 
         with trace.span("eco.diagnose") as dsp:
             failing = nonequivalent_outputs(work, spec)
+            diagnosed = DiagnosedOutputs(work, failing)
             failing = self._order_by_cone(work, failing)
             dsp.tag(failing=len(failing))
         logger.info("rectifying %s: %d of %d outputs non-equivalent",
@@ -228,12 +264,21 @@ class SysEco:
             run.counters.resubstitutions = resubs
 
         with trace.span("cec.verify_final") as vsp:
-            if config.jobs > 1:
+            shared = [p for p in work.outputs if p in spec.outputs]
+            reprove = diagnosed.to_reprove(work, shared)
+            if not reprove:
+                # every output keeps its diagnosis proof
+                verification = EquivalenceResult(True)
+            elif config.jobs > 1:
                 from repro.eco.parallel import parallel_verify
-                verification = parallel_verify(work, spec, config.jobs)
+                verification = parallel_verify(work, spec, config.jobs,
+                                               outputs=reprove)
             else:
-                verification = check_equivalence(work, spec)
-            vsp.tag(equivalent=verification.equivalent)
+                verification = check_equivalence(work, spec,
+                                                 outputs=reprove)
+            vsp.tag(equivalent=verification.equivalent,
+                    reproved=len(reprove),
+                    skipped=len(shared) - len(reprove))
         if verification.equivalent is not True:
             raise EcoError(
                 "final verification failed; counterexample: "

@@ -356,22 +356,23 @@ def _verify_worker(payload):
     return check_equivalence(work, spec, outputs=group)
 
 
-def parallel_verify(work: Circuit, spec: Circuit, jobs: int):
-    """Final full verification, fanned across output groups.
+def parallel_verify(work: Circuit, spec: Circuit, jobs: int,
+                    outputs: Sequence[str]):
+    """Final verification of ``outputs``, fanned across output groups.
 
-    Unlike search commits, verification verdicts need no replay: each
-    worker proves its own output pairs on the same frozen circuits, so
-    the conjunction of the group results *is* the whole-miter result.
-    Returns the first failing group's result (counterexample included),
-    ``EquivalenceResult(None)`` when any group went over budget, or
-    ``EquivalenceResult(True)``.
+    The engine passes only the ports it must re-prove.  Unlike search
+    commits, verification verdicts need no replay: each worker proves
+    its own output pairs on the same frozen circuits, so the
+    conjunction of the group results *is* the verdict over all of
+    ``outputs``.  Returns the first failing group's result
+    (counterexample included), ``EquivalenceResult(None)`` when any
+    group went over budget, or ``EquivalenceResult(True)``.
     """
     from repro.cec.equivalence import EquivalenceResult, check_equivalence
 
-    outputs = [p for p in work.outputs if p in spec.outputs]
     jobs = min(jobs, len(outputs))
     if jobs < 2:
-        return check_equivalence(work, spec)
+        return check_equivalence(work, spec, outputs=outputs)
     groups = partition_targets(outputs, jobs)
     payloads = [(work, spec, group) for group in groups]
     if os.environ.get("REPRO_ECO_JOBS_INLINE") == "1":
@@ -388,7 +389,7 @@ def parallel_verify(work: Circuit, spec: Circuit, jobs: int):
         except (OSError, pickle.PicklingError, ImportError) as exc:
             logger.warning("parallel verification unavailable (%s); "
                            "verifying sequentially", exc)
-            return check_equivalence(work, spec)
+            return check_equivalence(work, spec, outputs=outputs)
     unknown = False
     for result in results:
         if result.equivalent is False:

@@ -87,6 +87,7 @@ class RewiringContext:
                 impl_z[impl.outputs[p]], spec_z[snet]))
         self.error_region = manager.and_(diff, domain.valid_codes())
         self.error_count = max(1, domain.count_in_domain(diff))
+        self._count_vars = max(domain.z_vars) + 1
 
         # static patch screen: shared sink adjacency and memoized fanout
         # cones back the candidate filter here and the engine's pre-SAT
@@ -101,7 +102,7 @@ class RewiringContext:
         differs = manager.xor(driver_z, candidate_z)
         hits = manager.satcount(
             manager.and_(differs, self.error_region),
-            num_vars=max(self.domain.z_vars) + 1)
+            num_vars=self._count_vars)
         return hits / self.error_count
 
     def candidates_for_pin(self, pin: Pin,

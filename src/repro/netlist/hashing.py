@@ -22,15 +22,20 @@ def _canonical_fanins(gtype: GateType, fanins: Tuple[str, ...]) -> Tuple[str, ..
     return fanins
 
 
-def structural_hash(circuit: Circuit) -> Dict[str, int]:
+def structural_hash(circuit: Circuit,
+                    table: Optional[Dict[object, int]] = None
+                    ) -> Dict[str, int]:
     """Map every net to a structural key.
 
     Two nets receive the same key iff their cones are structurally
     identical up to symmetric-fanin reordering.  Primary inputs hash to
-    distinct keys by name.
+    distinct keys by name.  Keys are indices into the intern ``table``;
+    passing one table to several calls makes their keys comparable
+    across circuits (or across edits of one circuit).
     """
     keys: Dict[str, int] = {}
-    table: Dict[object, int] = {}
+    if table is None:
+        table = {}
 
     def intern(sig: object) -> int:
         if sig not in table:

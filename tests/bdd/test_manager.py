@@ -130,6 +130,37 @@ class TestEvaluateAndCount:
         with pytest.raises(BddError):
             m4.satcount(f, num_vars=2)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_satcount_raises_iff_support_uncovered(self, m4, seed):
+        """The check runs inside the count walk: an uncovered variable
+        below a covered root, or on one branch only, still raises."""
+        import random
+
+        rng = random.Random(seed)
+        f = m4.var(rng.randrange(2))
+        for _ in range(4):
+            g = m4.var(rng.randrange(4))
+            if rng.random() < 0.5:
+                g = m4.not_(g)
+            f = rng.choice((m4.and_, m4.or_, m4.xor))(f, g)
+        top = max(m4.support(f), default=-1)
+        for n in range(5):
+            if n <= top:
+                with pytest.raises(BddError):
+                    m4.satcount(f, num_vars=n)
+            else:
+                assert m4.satcount(f, num_vars=n) == (
+                    m4.satcount(f) >> (4 - n))
+
+    def test_satcount_raises_on_deep_uncovered_variable(self, m4):
+        a, d = m4.var(0), m4.var(3)
+        # root variable 0 is covered; variable 3 sits on the hi branch
+        f = m4.and_(a, d)
+        with pytest.raises(BddError):
+            m4.satcount(f, num_vars=2)
+        with pytest.raises(BddError):
+            m4.satcount(m4.or_(a, d), num_vars=3)
+
     def test_support_and_size(self, m4):
         a, c = m4.var(0), m4.var(2)
         f = m4.and_(a, c)

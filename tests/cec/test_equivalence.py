@@ -55,6 +55,18 @@ class TestCheckEquivalence:
         left, right = two_output_pair()
         assert check_equivalence(left, right, outputs=["same"]).equivalent
 
+    def test_empty_output_list_raises(self):
+        left, right = two_output_pair()
+        with pytest.raises(NetlistError):
+            check_equivalence(left, right, outputs=[])
+
+    def test_missing_output_raises(self):
+        left, right = two_output_pair()
+        with pytest.raises(NetlistError):
+            check_equivalence(left, right, outputs=["same", "nope"])
+        with pytest.raises(NetlistError):
+            nonequivalent_outputs(left, right, outputs=["nope"])
+
     def test_no_shared_outputs(self):
         left, _ = two_output_pair()
         right = Circuit("r")
@@ -121,5 +133,88 @@ class TestNonequivalentOutputs:
                 if n != gate.fanins[0]]
         if pool:
             right.rewire_pin(Pin.gate(names[k], 0), rng.choice(pool))
-        assert (nonequivalent_outputs(left, right)
-                == nonequivalent_outputs(left, right, sim_rounds=0))
+        failing = nonequivalent_outputs(left, right, sim_rounds=0)
+        assert nonequivalent_outputs(left, right) == failing
+        verdict = check_equivalence(left, right)
+        assert verdict.equivalent is (not failing)
+        assert set(verdict.failing_outputs) <= set(failing)
+
+
+def _mutated_pair(seed, n_gates=25):
+    """A random circuit and a copy with one gate pin rewired."""
+    import random
+
+    from repro.netlist.circuit import Pin
+    from repro.netlist.traverse import topological_order
+
+    left = make_random_circuit(seed, n_gates=n_gates)
+    right = left.copy(name="right")
+    rng = random.Random(seed + 50)
+    names = topological_order(right)
+    k = rng.randrange(len(names))
+    gate = right.gates[names[k]]
+    pool = [n for n in list(right.inputs) + names[:k]
+            if n != gate.fanins[0]]
+    if pool:
+        right.rewire_pin(Pin.gate(names[k], 0), rng.choice(pool))
+    return left, right
+
+
+class TestPerOutputQueries:
+    @pytest.fixture
+    def checkers(self, monkeypatch):
+        """Every PairwiseChecker built while the test runs."""
+        from repro.cec import equivalence
+
+        made = []
+
+        class Recording(PairwiseChecker):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(equivalence, "PairwiseChecker", Recording)
+        return made
+
+    @pytest.mark.parametrize("budget", [1, 5, 20, 100])
+    def test_conflict_budget_is_a_total(self, checkers, budget):
+        left = make_random_circuit(0, n_inputs=10, n_gates=120,
+                                   n_outputs=6)
+        right = optimize_heavy(left, seed=9)
+        unbounded = check_equivalence(left, right)
+        assert unbounded.equivalent is True
+        # the unbounded proof needs far more conflicts than any budget
+        assert checkers[0].solver.conflicts > 100
+        del checkers[:]
+        result = check_equivalence(left, right, conflict_budget=budget)
+        assert result.equivalent is None
+        assert len(checkers) == 1
+        assert checkers[0].solver.conflicts <= budget
+
+    def test_one_checker_for_all_ports(self, checkers):
+        left = make_random_circuit(4, n_inputs=8, n_gates=60, n_outputs=5)
+        right = optimize_heavy(left, seed=2)
+        assert check_equivalence(left, right).equivalent
+        assert len(checkers) == 1
+        assert len(checkers[0]._diff_var) == 5
+
+    @pytest.mark.parametrize("sim_rounds", [0, 8])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_failing_outputs_exact_under_counterexample(
+            self, monkeypatch, seed, sim_rounds):
+        """Exact both for simulation and for SAT counterexamples (no
+        pre-pass: every port reaches the solver)."""
+        from repro.cec import equivalence
+
+        monkeypatch.setattr(equivalence, "_SIM_ROUNDS", sim_rounds)
+        left, right = _mutated_pair(seed)
+        result = check_equivalence(left, right)
+        if result.equivalent is True:
+            assert nonequivalent_outputs(left, right) == []
+            return
+        assert result.equivalent is False
+        lv = evaluate_outputs(left, result.counterexample)
+        rv = evaluate_outputs(right, result.counterexample)
+        differing = {p for p in left.outputs if lv[p] != rv[p]}
+        assert differing
+        assert set(result.failing_outputs) == differing

@@ -205,13 +205,15 @@ class TestParallelVerify:
 
     def test_equivalent_pair_proves_true(self):
         impl, spec = multi_bug_circuits(4)
-        assert parallel_verify(spec, spec.copy(), jobs=2).equivalent is True
+        assert parallel_verify(spec, spec.copy(), jobs=2,
+                               outputs=list(spec.outputs)).equivalent is True
 
     def test_nonequivalent_pair_returns_counterexample(self):
         from repro.netlist.simulate import evaluate_outputs
 
         impl, spec = multi_bug_circuits(4)
-        result = parallel_verify(impl, spec, jobs=2)
+        result = parallel_verify(impl, spec, jobs=2,
+                                 outputs=list(spec.outputs))
         assert result.equivalent is False
         assert result.failing_outputs
         port = result.failing_outputs[0]
@@ -221,13 +223,31 @@ class TestParallelVerify:
 
     def test_single_output_falls_back_to_plain_check(self):
         impl, spec = multi_bug_circuits(1)
-        result = parallel_verify(impl, spec, jobs=4)
+        result = parallel_verify(impl, spec, jobs=4,
+                                 outputs=list(spec.outputs))
+        assert result.equivalent is False
+        assert result.failing_outputs == ("o0",)
+
+    def test_proves_only_the_given_outputs(self):
+        impl, spec = multi_bug_circuits(4)
+        fixed = impl.copy()
+        for i in (1, 3):
+            # repair blocks 1 and 3 by cloning the spec's gates
+            for name in (f"g1_{i}", f"g2_{i}"):
+                gate = spec.gates[name]
+                fixed.add_gate(name, gate.gtype, gate.fanins)
+            fixed.set_output(f"o{i}", f"g2_{i}")
+        assert parallel_verify(fixed, spec, jobs=2,
+                               outputs=["o1", "o3"]).equivalent is True
+        result = parallel_verify(fixed, spec, jobs=2,
+                                 outputs=["o0", "o1", "o3"])
         assert result.equivalent is False
         assert result.failing_outputs == ("o0",)
 
     def test_matches_sequential_verdict(self):
         impl, spec = multi_bug_circuits(3)
-        assert (parallel_verify(impl, spec, jobs=2).equivalent
+        assert (parallel_verify(impl, spec, jobs=2,
+                                outputs=list(spec.outputs)).equivalent
                 == check_equivalence(impl, spec).equivalent)
 
 

@@ -18,7 +18,7 @@ from repro.runtime import (
     SITE_CLOCK,
     SITE_SAT,
 )
-from repro.workloads.figures import example1_circuits
+from repro.workloads.figures import example1_circuits, figure1_circuits
 
 
 def traced_rectify(config=None, injector=None, width=2):
@@ -63,6 +63,24 @@ class TestHappyPathTrace:
         total_conflicts = sum(
             s.counters.get("sat_conflicts_spent", 0) for s in outputs)
         assert total_conflicts == result.counters.sat_conflicts_spent
+
+    def test_final_verification_tags_reproved_and_skipped(self):
+        # outputs w_0..w_2 fail; the protected output d is untouched
+        impl, spec = figure1_circuits(width=3)
+        trace = Trace(name=impl.name)
+        rectify(impl, spec, EcoConfig(num_samples=8), trace=trace)
+        (verify,) = spans_named(trace, "cec.verify_final")
+        assert verify.tags["equivalent"] is True
+        assert verify.tags["reproved"] == 3
+        assert verify.tags["skipped"] == 1
+
+    def test_equivalent_design_skips_every_output(self):
+        impl, _ = example1_circuits(width=2)
+        trace = Trace(name=impl.name)
+        rectify(impl, impl.copy(name="spec"), trace=trace)
+        (verify,) = spans_named(trace, "cec.verify_final")
+        assert verify.tags["reproved"] == 0
+        assert verify.tags["skipped"] == len(impl.outputs)
 
     def test_sat_validate_spans_tag_verdicts(self):
         impl, spec, trace, result = traced_rectify()
