@@ -5,21 +5,29 @@ sampling domain with the inputs overloaded by ``g(z)``.  Examples 1 and
 2 give closed forms on the ``GATE``-style word circuit:
 
     H_k(t1, t2)  = t1^k t2^{n+k}  |  t1^{n+k} t2^k
-    Xi_k(c1, c2) = c1^1 | c2^2     for S_1 = (v(0), c, ~c),
+    Xi_k(c1, c2) = c1^1 c2^2       for S_1 = (v(0), c, ~c),
                                        S_2 = (v(1), c, ~c)
 
-This bench computes both characteristic functions with the library's
-actual machinery (mux augmentation, candidate encoding, sampling-domain
-quantification) and asserts BDD-level equality with the closed forms.
+(juxtaposition is conjunction: point 1 takes ``c`` and point 2 takes
+``~c``, the paper's rewiring ``R = q_k/c, q_{n+k}/~c``).
+
+This bench computes both with the library's actual machinery.
+``H_k`` comes from the mux augmentation and sampling-domain
+quantification and must equal its closed form as a BDD.  ``Xi_k`` comes
+from the engine's choice enumeration, which checks Theorem 1 per choice
+on sampling-domain code words: the set of choices it admits must equal
+the closed form's truth table over all nine codes ``(c1, c2)``, minus
+the all-trivial code, and the set of codes whose rewiring makes ``w_k``
+equal the revised output on every input assignment.
 """
 
 import itertools
-import math
 
 from repro.bdd.manager import BddManager
 from repro.eco.points import PointSelector, compute_h_function
 from repro.eco.sampling import SamplingDomain
 from repro.netlist.circuit import Pin
+from repro.netlist.simulate import evaluate_outputs
 from repro.workloads.figures import example1_circuits
 
 
@@ -29,6 +37,24 @@ def full_domain(circuit):
                for bits in itertools.product([False, True],
                                              repeat=len(inputs))]
     return SamplingDomain(BddManager(), samples, inputs)
+
+
+def _rewire_rectifies(impl, spec, k, pair, code):
+    """Whether wiring ``pair`` to ``S_1[c1]``, ``S_2[c2]`` makes
+    ``w_k`` equal the revised output on every input assignment."""
+    sources = (("s", "c_new", "not_c"), ("v1", "c_new", "not_c"))
+    patched = impl.copy()
+    patched.and_("a", "b", name="c_new")
+    patched.not_("c_new", name="not_c")
+    for pin, options, index in zip(pair, sources, code):
+        patched.rewire_pin(pin, options[index])
+    port = f"w_{k}"
+    for bits in itertools.product([False, True], repeat=len(impl.inputs)):
+        assignment = dict(zip(impl.inputs, bits))
+        if evaluate_outputs(patched, assignment)[port] != \
+                evaluate_outputs(spec, assignment)[port]:
+            return False
+    return True
 
 
 def test_figure3(benchmark, publish):
@@ -83,16 +109,21 @@ def test_figure3(benchmark, publish):
             choices = enumerate_rewiring_choices(
                 impl, f"w_{k}", domain, pair, (s1, s2), f_prime,
                 limit=16)
-            nets = {(a.net, b.net) for a, b in choices}
-            # Xi_k = c1^1 | c2^2: every valid choice has point 1 on c
-            # or point 2 on ~c, and the paper's R = q_k/c, q_{n+k}/~c
-            # is among them
-            assert ("c", "~c") in nets, f"Xi_{k} misses the paper's R"
-            assert all(a == "c" or b == "~c" for a, b in nets), nets
-            report.append(f"Xi_{k}(c1,c2) == c1^1 | c2^2           OK")
+            codes = {(s1.index(a), s2.index(b)) for a, b in choices}
+            assert len(codes) == len(choices)
+            nine = list(itertools.product(range(3), repeat=2))
+            # the all-trivial code (0, 0) is never a choice
+            closed_xi = {(c1, c2) for c1, c2 in nine
+                         if c1 == 1 and c2 == 2}
+            rectifying = {code for code in nine[1:]
+                          if _rewire_rectifies(impl, spec, k, pair, code)}
+            assert codes == closed_xi == rectifying, \
+                f"Xi_{k} mismatch: {sorted(codes)}"
+            report.append(f"Xi_{k}(c1,c2) == c1^1 c2^2 on all 9 codes "
+                          f"OK")
         return report
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     publish("figure3.txt", "\n".join(
-        ["Figure 3 / Examples 1-2 reproduction (symbolic equality):"]
+        ["Figure 3 / Examples 1-2 reproduction (exact closed forms):"]
         + [f"  {line}" for line in report]))

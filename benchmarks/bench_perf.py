@@ -12,7 +12,11 @@ Hot paths, each timed against the reference it replaced:
   verdict-parity sanity check on every candidate;
 * **final verification** — per-output queries over every output of a
   patched netlist vs the engine's re-proof of only the outputs that
-  failed at diagnosis or whose structural key changed.
+  failed at diagnosis or whose structural key changed;
+* **rewiring choices** — the per-choice Theorem 1 check on
+  sampling-domain code words vs the symbolic ``Xi(c)`` of
+  ``tests/eco/reference_xi.py``, replayed on the engine's own
+  point-sets with an equal-result check on every call.
 
 The rendered table and JSON twin land in ``benchmarks/results/`` via
 the shared publisher, and a traced engine run (incremental validation
@@ -34,7 +38,10 @@ from repro.eco.engine import DiagnosedOutputs, rectify
 from repro.eco.incremental import IncrementalValidator
 from repro.eco.patch import RewireOp
 from repro.eco.validate import validate_rewire
+from repro.eco import engine
+from repro.eco.choices import enumerate_rewiring_choices
 from repro.bench.runner import traced_case_run
+from tests.eco.reference_xi import reference_choices_joint
 from tests.netlist.reference_sim import walk_words
 
 #: mid-size suite case: large enough that per-candidate re-encoding
@@ -252,6 +259,76 @@ def test_perf_verification(benchmark, suite_cases, publish, quick):
         f"  {'speedup':<22} : {data['speedup']:.2f}x"),
         data=data)
     assert 0 < len(reprove) < len(full)
+    assert data["speedup"] > 1.0
+
+
+def test_perf_choices(benchmark, suite_cases, publish, monkeypatch,
+                      quick):
+    """Word-based choice enumeration vs the symbolic ``Xi(c)``.
+
+    The engine's calls are recorded during one run and replayed on
+    both paths.  The replay reuses each call's sampling domain, so the
+    candidate words are already memoized, as they are in the engine
+    once ``RewiringContext.utility`` has ranked the candidates.
+    """
+    case = suite_cases[PERF_CASE]
+    calls = []
+
+    def record(impl, port, domain, pins, cands, spec_value, limit=16,
+               cost_fn=None, trace=None):
+        calls.append((impl.copy(), port, domain, tuple(pins),
+                      [list(c) for c in cands], spec_value, limit,
+                      cost_fn))
+        return enumerate_rewiring_choices(
+            impl, port, domain, pins, cands, spec_value, limit=limit,
+            cost_fn=cost_fn, trace=trace)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "enumerate_rewiring_choices", record)
+        rectify(case.impl, case.spec, EcoConfig(seed=3))
+    repeats = 1 if quick else 3
+
+    def best_of(run):
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            result = [run(*call) for call in calls]
+            best = min(best, time.perf_counter() - t0)
+        return best, result
+
+    def words(impl, port, domain, pins, cands, spec_value, limit, cost):
+        return enumerate_rewiring_choices(
+            impl, port, domain, pins, cands, spec_value, limit=limit,
+            cost_fn=cost)
+
+    def symbolic(impl, port, domain, pins, cands, spec_value, limit,
+                 cost):
+        return reference_choices_joint(
+            impl, {port: spec_value}, domain, pins, cands, limit=limit,
+            cost_fn=cost)
+
+    (word_s, word_out), (xi_s, xi_out) = benchmark.pedantic(
+        lambda: (best_of(words), best_of(symbolic)),
+        rounds=1, iterations=1)
+    assert word_out == xi_out
+    data = {
+        "bench": "perf_choices",
+        "case_id": PERF_CASE,
+        "point_sets": len(calls),
+        "choices": sum(len(c) for c in word_out),
+        "symbolic_ms": xi_s * 1000,
+        "words_ms": word_s * 1000,
+        "speedup": xi_s / word_s,
+    }
+    publish("perf_choices.txt", (
+        f"perf: rewiring choices, case {PERF_CASE} "
+        f"({len(calls)} point-sets, {data['choices']} choices, "
+        f"min of {repeats})\n"
+        f"  symbolic Xi(c)       : {data['symbolic_ms']:>8.1f} ms\n"
+        f"  Theorem 1 on words   : {data['words_ms']:>8.1f} ms\n"
+        f"  speedup              : {data['speedup']:.2f}x"),
+        data=data)
+    assert calls
     assert data["speedup"] > 1.0
 
 

@@ -1,34 +1,42 @@
-"""Rewiring-choice selection: the ``Xi(c)`` computation (Section 4.4).
+"""Rewiring-choice selection: Theorem 1 per choice (Section 4.4).
 
 Given a rectification point-set ``(p_1 ... p_m)`` with ordered candidate
-rewiring nets ``S_i`` per point, decision words ``c_i`` parameterize the
-consistency relation::
+rewiring nets ``S_i`` per point, the paper parameterizes choices with
+decision words ``c_i`` and the consistency relation::
 
     R(z, y, c) = AND_i AND_k ( c_i^k -> (y_i == r_ik(z)) )
 
-and Theorem 1 turns into the characteristic function of all valid
-rewire operations::
+and Theorem 1 gives the characteristic function of all valid rewire
+operations::
 
     Xi(c) = forall z, y ( (L -> h) & (h -> U) ) & valid(c)
     L = f' & R ,  U = f' | ~R
 
-computed in the sampling domain.  Concrete choices are then read off
-``Xi``: combinations are walked in increasing patch-cost order and kept
-when ``Xi`` evaluates true on their code — cheap point evaluations on
-the BDD instead of cube enumeration, so the cost order is exact.
+Since ``(L -> h) & (h -> U) == R -> (h == f')`` and, for a fixed choice
+``(k_1 .. k_m)`` and code ``z``, ``R`` forces ``y_i = r_{i,k_i}(z)``,
+``Xi`` holds at a choice iff ``h(z, r_k(z)) == f'(z)`` at every code.
+In the sampling domain every function of ``z`` is a code word
+(:meth:`~repro.eco.sampling.SamplingDomain.word`), so the check runs on
+words: the ports' cones are evaluated once with point ``i``'s pin
+forced to ``y_i`` -- all ``2^m`` values of ``y`` side by side, one lane
+each -- giving ``good[y]``, the codes where every port equals ``f'``.
+A choice is valid iff, for every ``y``, the codes where
+``r_{i,k_i} == y_i`` for all ``i`` lie inside ``good[y]``.
+Combinations are walked in increasing patch-cost order and the valid
+ones kept, so the cost order is exact.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bdd.manager import FALSE, TRUE
 from repro.netlist.circuit import Circuit, Pin
+from repro.netlist.simulate import eval_gate_masked
 from repro.netlist.traverse import topological_order
 from repro.eco.rewiring import RewireCandidate
-from repro.eco.points import compute_h_function
+from repro.eco.points import evaluate_roots_with_pin_overrides
 from repro.eco.sampling import SamplingDomain
 from repro.obs.trace import ensure_trace
 
@@ -101,8 +109,8 @@ def enumerate_rewiring_choices(
     Args:
         impl: current implementation.
         port: the failing output being rectified.
-        domain: the sampling domain (fresh ``y``/``c`` variables are
-            allocated on its manager).
+        domain: the sampling domain; ``spec_value`` and every
+            candidate's ``z_function`` depend on its ``z`` only.
         pins: the rectification point-set.
         candidates: ordered candidate list per pin (index 0 should be
             the trivial candidate).
@@ -111,8 +119,8 @@ def enumerate_rewiring_choices(
         cost_fn: choice ordering; defaults to :func:`default_cost`.
 
     Returns:
-        Up to ``limit`` choices whose codes satisfy ``Xi(c)``, ordered
-        by total cost.  The all-trivial choice is excluded (it denotes
+        Up to ``limit`` choices at which ``Xi(c)`` holds, ordered by
+        total cost.  The all-trivial choice is excluded (it denotes
         'change nothing' and cannot rectify a failing output).
     """
     return enumerate_rewiring_choices_joint(
@@ -150,57 +158,41 @@ def _enumerate_choices_joint(
         candidates: Sequence[Sequence[RewireCandidate]],
         limit: int,
         cost_fn: Optional[CostFn]) -> List[Choice]:
-    from repro.eco.points import compute_h_functions
-
-    manager = domain.manager
     cost_fn = cost_fn or default_cost
-    m = len(pins)
+    word = domain.word
     ports = list(spec_values)
+    pin_index = {pin: i for i, pin in enumerate(pins)}
 
-    y_vars = [manager.add_var() for _ in range(m)]
-    y_nodes = [manager.var(v) for v in y_vars]
-    h_map = compute_h_functions(impl, ports, domain, pins, y_nodes,
-                                selector=None)
+    # lane j of a packed word holds the codes for y_i = bit i of j
+    size = len(domain.samples)  # codes, padding included
+    lanes = 1 << len(pins)
+    repeat = sum(1 << (j * size) for j in range(lanes))
+    lane_mask = domain.full_mask * repeat
+    y_words = [
+        sum(domain.full_mask << (j * size)
+            for j in range(lanes) if (j >> i) & 1)
+        for i in range(len(pins))
+    ]
 
-    # decision words c_i, MSB first
-    c_words: List[List[int]] = []
-    for cand_list in candidates:
-        bits = max(1, math.ceil(math.log2(len(cand_list)))) \
-            if len(cand_list) > 1 else 1
-        c_words.append([manager.add_var() for _ in range(bits)])
+    def override(pin: Pin, value: int) -> int:
+        idx = pin_index.get(pin)
+        return y_words[idx] if idx is not None else value
 
-    def code_cube(i: int, k: int) -> int:
-        word = c_words[i]
-        bits = len(word)
-        return manager.cube({
-            word[b]: bool((k >> (bits - 1 - b)) & 1) for b in range(bits)
-        })
-
-    r_relation = TRUE
-    valid_c = TRUE
-    for i, cand_list in enumerate(candidates):
-        word_valid = FALSE
-        for k, cand in enumerate(cand_list):
-            sel = code_cube(i, k)
-            consistent = manager.xnor(y_nodes[i], cand.z_function)
-            r_relation = manager.and_(
-                r_relation, manager.implies(sel, consistent))
-            word_valid = manager.or_(word_valid, sel)
-        valid_c = manager.and_(valid_c, word_valid)
-
-    not_r = manager.not_(r_relation)
-    f = TRUE
+    inputs = {name: word(node) * repeat
+              for name, node in domain.input_functions.items()}
+    values = evaluate_roots_with_pin_overrides(
+        impl, functools.partial(eval_gate_masked, mask=lane_mask), inputs,
+        [impl.outputs[p] for p in ports], override)
+    good = lane_mask
     for port in ports:
-        spec_value = spec_values[port]
-        h = h_map[port]
-        lower = manager.and_(spec_value, r_relation)
-        upper = manager.or_(spec_value, not_r)
-        f = manager.and_(f, manager.and_(
-            manager.implies(lower, h), manager.implies(h, upper)))
-    xi = manager.and_(manager.forall(f, list(domain.z_vars) + y_vars),
-                      valid_c)
-    if xi == FALSE:
-        return []
+        h = override(Pin.output(port), values[impl.outputs[port]])
+        good &= ~(h ^ word(spec_values[port]) * repeat)
+    bad = lane_mask ^ good
+
+    # per candidate: the codes, in each lane, where r_ik == y_i
+    agree = [[lane_mask & ~(word(cand.z_function) * repeat ^ y_words[i])
+              for cand in cand_list]
+             for i, cand_list in enumerate(candidates)]
 
     # walk candidate combinations cheapest-total-cost first
     indexed: List[List[Tuple[float, int]]] = []
@@ -216,27 +208,16 @@ def _enumerate_choices_joint(
         combos.append((total, tuple(k for _, k in combo)))
     combos.sort()
 
-    xi_support = manager.support(xi)
     choices: List[Choice] = []
     for _, ks in combos:
         if all(candidates[i][k].trivial for i, k in enumerate(ks)):
             continue
-        assignment: Dict[int, bool] = {}
+        selected = lane_mask
         for i, k in enumerate(ks):
-            word = c_words[i]
-            bits = len(word)
-            for b in range(bits):
-                assignment[word[b]] = bool((k >> (bits - 1 - b)) & 1)
-        if manager.evaluate(xi, _pad(assignment, xi_support)):
+            selected &= agree[i][k]
+        if not selected & bad:
             choices.append(tuple(
                 candidates[i][k] for i, k in enumerate(ks)))
             if len(choices) >= limit:
                 break
     return choices
-
-
-def _pad(assignment: Dict[int, bool], support) -> Dict[int, bool]:
-    out = dict(assignment)
-    for v in support:
-        out.setdefault(v, False)
-    return out

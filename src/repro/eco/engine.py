@@ -8,7 +8,8 @@ of the current implementation ``C`` and revised specification ``C'``
 2. enumerates feasible rectification point-sets via ``H(t)``;
 3. ranks candidate rewiring nets per point (structural filter +
    rectification utility);
-4. solves ``Xi(c)`` for valid rewiring choices, cheapest first;
+4. walks rewiring choices cheapest first, keeping those where
+   ``Xi(c)`` (Theorem 1) holds on the sampled codes;
 5. validates each choice on the full domain with a resource-constrained
    SAT solver, favoring choices that fix the most outputs and rejecting
    any that damage an already-correct output.

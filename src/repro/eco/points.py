@@ -22,6 +22,7 @@ its prime cubes seed explicit candidate point-sets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -31,6 +32,7 @@ from repro.bdd.manager import BddManager, FALSE, TRUE
 from repro.bdd.netbridge import apply_gate
 from repro.bdd.primes import enumerate_primes
 from repro.netlist.circuit import Circuit, Pin
+from repro.netlist.gate import GateType
 from repro.netlist.traverse import topological_order, transitive_fanin
 from repro.eco.sampling import SamplingDomain
 from repro.obs.trace import ensure_trace
@@ -135,19 +137,22 @@ def evaluate_with_pin_overrides(
     editing the netlist.
     """
     return evaluate_roots_with_pin_overrides(
-        circuit, manager, input_functions, [root_net], override)[root_net]
+        circuit, functools.partial(apply_gate, manager), input_functions,
+        [root_net], override)[root_net]
 
 
 def evaluate_roots_with_pin_overrides(
         circuit: Circuit,
-        manager: BddManager,
+        gate_fn: Callable[[GateType, Sequence[int]], int],
         input_functions: Mapping[str, int],
         root_nets: Sequence[str],
         override) -> Dict[str, int]:
     """Like :func:`evaluate_with_pin_overrides` over several roots.
 
-    The union of the cones is evaluated once, so joint multi-output
-    computations share all intermediate BDDs.
+    ``gate_fn(gtype, operands)`` evaluates one gate: :func:`apply_gate`
+    bound to a BDD manager, or a code-word evaluator.  The union of the
+    cones is evaluated once, so joint multi-output computations share
+    all intermediate values.
     """
     values: Dict[str, int] = {}
     for name in circuit.inputs:
@@ -160,7 +165,7 @@ def evaluate_roots_with_pin_overrides(
             node = values[fanin]
             node = override(Pin.gate(gname, idx), node)
             operands.append(node)
-        values[gname] = apply_gate(manager, gate.gtype, operands)
+        values[gname] = gate_fn(gate.gtype, operands)
     return {net: values[net] for net in root_nets}
 
 
@@ -217,7 +222,8 @@ def compute_h_functions(impl: Circuit, ports: Sequence[str],
 
     roots = [impl.outputs[p] for p in ports]
     values = evaluate_roots_with_pin_overrides(
-        impl, manager, domain.input_functions, roots, override)
+        impl, functools.partial(apply_gate, manager),
+        domain.input_functions, roots, override)
     out: Dict[str, int] = {}
     for port in ports:
         value = values[impl.outputs[port]]

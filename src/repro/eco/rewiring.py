@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Set
 
-from repro.bdd.manager import FALSE
 from repro.lint.patch_rules import PatchScreen
 from repro.netlist.circuit import Circuit, Pin
 from repro.eco.config import EcoConfig
-from repro.eco.sampling import SamplingDomain
+from repro.eco.sampling import SamplingDomain, popcount
 from repro.obs.trace import ensure_trace
 
 
@@ -76,18 +75,17 @@ class RewiringContext:
 
         # joint context: the error region is the union of the per-port
         # differences and the structural filter uses the union support
-        manager = domain.manager
         self.spec_out_net = spec.outputs[port]
         self.spec_support_mask = 0
-        diff = 0  # FALSE
+        diff = 0
         for p in self.ports:
             snet = spec.outputs[p]
             self.spec_support_mask |= spec_supports[snet]
-            diff = manager.or_(diff, manager.xor(
-                impl_z[impl.outputs[p]], spec_z[snet]))
-        self.error_region = manager.and_(diff, domain.valid_codes())
-        self.error_count = max(1, domain.count_in_domain(diff))
-        self._count_vars = max(domain.z_vars) + 1
+            diff |= domain.word(impl_z[impl.outputs[p]]) ^ \
+                domain.word(spec_z[snet])
+        #: code word of the sampled error region ``E``
+        self.error_word = diff & domain.valid_mask
+        self.error_count = max(1, popcount(self.error_word))
 
         # static patch screen: shared sink adjacency and memoized fanout
         # cones back the candidate filter here and the engine's pre-SAT
@@ -98,11 +96,9 @@ class RewiringContext:
 
     def utility(self, driver_z: int, candidate_z: int) -> float:
         """The Section 4.3 ratio on the sampled error domain."""
-        manager = self.domain.manager
-        differs = manager.xor(driver_z, candidate_z)
-        hits = manager.satcount(
-            manager.and_(differs, self.error_region),
-            num_vars=self._count_vars)
+        word = self.domain.word
+        hits = popcount((word(driver_z) ^ word(candidate_z))
+                        & self.error_word)
         return hits / self.error_count
 
     def candidates_for_pin(self, pin: Pin,
@@ -122,7 +118,6 @@ class RewiringContext:
                             forbidden: Optional[Set[str]] = None
                             ) -> List[RewireCandidate]:
         config = self.config
-        manager = self.domain.manager
         driver = self.impl.pin_driver(pin)
         driver_z = self.impl_z[driver]
 

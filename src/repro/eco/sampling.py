@@ -15,7 +15,8 @@ domain.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.errors import EcoError
 from repro.bdd.manager import BddManager, FALSE, TRUE
@@ -23,6 +24,11 @@ from repro.bdd.netbridge import net_functions
 from repro.netlist.circuit import Circuit
 
 Assignment = Mapping[str, bool]
+
+
+def popcount(word: int) -> int:
+    """Number of set bits of a non-negative code word."""
+    return bin(word).count("1")
 
 
 def exhaustive_assignments(inputs: Sequence[str],
@@ -60,6 +66,11 @@ class SamplingDomain:
     Attributes:
         z_vars: allocated variable indices, most significant first.
         input_functions: ``g_i(z)`` BDD per input name.
+        full_mask: code word with a bit for every code, padding included.
+        valid_mask: code word of the codes below ``num_samples``.
+
+    A function of ``z`` alone is also a truth table over the codes; see
+    :meth:`word`.
     """
 
     def __init__(self, manager: BddManager, samples: Sequence[Assignment],
@@ -79,6 +90,16 @@ class SamplingDomain:
         self.samples = padded
         self.num_samples = n
         self.z_vars: List[int] = [manager.add_var() for _ in range(bits)]
+        self.full_mask = (1 << size) - 1
+        self.valid_mask = (1 << n) - 1
+        self._z_pos = {v: i for i, v in enumerate(self.z_vars)}
+        # per z variable: the codes where it is 1, and where it is 0
+        self._bit_masks: List[Tuple[int, int]] = []
+        for i in range(bits):
+            ones = sum(1 << k for k in range(size)
+                       if (k >> (bits - 1 - i)) & 1)
+            self._bit_masks.append((ones, self.full_mask ^ ones))
+        self._words: Dict[int, int] = {FALSE: 0, TRUE: self.full_mask}
         self._minterms: List[int] = [
             self._code_cube(k) for k in range(size)
         ]
@@ -116,21 +137,34 @@ class SamplingDomain:
             acc = self.manager.or_(acc, self._minterms[k])
         return acc
 
+    def word(self, node: int) -> int:
+        """Truth table of a ``z``-only BDD as a code word.
+
+        Bit ``k`` holds the value of ``node`` at code ``k`` (the
+        big-endian code order of :meth:`code_of`).  Memoized per domain;
+        raises :class:`EcoError` when ``node`` depends on a variable
+        other than ``z``.
+        """
+        hit = self._words.get(node)
+        if hit is not None:
+            return hit
+        manager = self.manager
+        pos = self._z_pos.get(manager.top_var(node))
+        if pos is None:
+            raise EcoError("word: node depends on non-z variables")
+        ones, zeros = self._bit_masks[pos]
+        value = (self.word(manager.high(node)) & ones) | \
+            (self.word(manager.low(node)) & zeros)
+        self._words[node] = value
+        return value
+
     def count_in_domain(self, node: int) -> int:
         """Number of distinct samples on which ``node`` holds.
 
         ``node`` must depend on the ``z`` variables only (cast-circuit
-        results satisfy this), and the domain must have been created on
-        a fresh manager so the ``z`` variables occupy positions
-        ``0..bits-1``.
+        results satisfy this).
         """
-        support = self.manager.support(node)
-        zset = set(self.z_vars)
-        if not support <= zset:
-            raise EcoError("count_in_domain: node depends on non-z variables")
-        restricted = self.manager.and_(node, self.valid_codes())
-        return self.manager.satcount(restricted,
-                                     num_vars=max(zset) + 1)
+        return popcount(self.word(node) & self.valid_mask)
 
     def sample_of_assignment(self, z_assignment: Mapping[int, bool]) -> Assignment:
         """Decode a ``z`` assignment back to the sampled input pattern."""

@@ -93,6 +93,12 @@ def eval_opcode(opcode: int, operands: Sequence[int], mask: int) -> int:
     raise NetlistError(f"unknown plan opcode {opcode}")
 
 
+def eval_gate_masked(gtype: GateType, operands: Sequence[int],
+                     mask: int) -> int:
+    """:func:`eval_opcode` addressed by gate type."""
+    return eval_opcode(_OPCODE[gtype], operands, mask)
+
+
 class CompiledPlan:
     """Flat evaluation plan of a circuit (or of an output cone).
 

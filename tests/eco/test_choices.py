@@ -1,19 +1,25 @@
 """Tests for rewiring-choice selection (Xi(c), Example 2)."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bdd.manager import BddManager
 from repro.eco.choices import (
     default_cost,
     enumerate_rewiring_choices,
+    enumerate_rewiring_choices_joint,
     make_clone_aware_cost,
 )
 from repro.eco.rewiring import RewireCandidate
 from repro.eco.sampling import SamplingDomain
 from repro.netlist.circuit import Circuit, Pin
+from repro.netlist.traverse import topological_order
 from repro.workloads.figures import example1_circuits
+from tests.conftest import make_random_circuit
+from tests.eco.reference_xi import reference_choices_joint
 
 
 def full_domain(circuit):
@@ -134,3 +140,83 @@ class TestCostFunctions:
                                      level_term=lambda p, c: 10.0)
         cand = RewireCandidate("a", False, 0.5, 0)
         assert cost(Pin.gate("x", 0), cand) == pytest.approx(11.0)
+
+
+def random_choice_problem(seed, num_points, num_ports, num_samples):
+    """A small impl/spec pair, a sampled domain, a point-set and
+    candidate lists drawn from both circuits' nets."""
+    rng = random.Random(seed)
+    impl = make_random_circuit(seed, n_inputs=5, n_gates=14, n_outputs=2)
+    spec = make_random_circuit(seed + 7919, n_inputs=5, n_gates=14,
+                               n_outputs=2)
+    samples = [{n: bool(rng.getrandbits(1)) for n in impl.inputs}
+               for _ in range(num_samples)]
+    domain = SamplingDomain(BddManager(), samples, impl.inputs)
+    impl_z = domain.cast_circuit(impl)
+    spec_z = domain.cast_circuit(spec)
+    ports = rng.sample(sorted(impl.outputs), num_ports)
+    roots = [impl.outputs[p] for p in ports]
+    pool = [Pin.output(p) for p in ports] + [
+        Pin.gate(g, i) for g in topological_order(impl, roots=roots)
+        for i in range(len(impl.gates[g].fanins))]
+    pins = rng.sample(pool, min(num_points, len(pool)))
+    sources = ([(n, False) for n in impl.nets()]
+               + [(n, True) for n in spec.nets()])
+    candidates = []
+    for pin in pins:
+        driver = impl.pin_driver(pin)
+        cands = [RewireCandidate(driver, False, 0.0, impl_z[driver],
+                                 trivial=True)]
+        for net, from_spec in rng.sample(sources, rng.randint(1, 5)):
+            z = spec_z[net] if from_spec else impl_z[net]
+            cands.append(RewireCandidate(net, from_spec, 0.5, z))
+        if pin.is_output_port and rng.random() < 0.7:
+            net = spec.outputs[pin.owner]
+            cands.append(RewireCandidate(net, True, 0.5, spec_z[net]))
+        candidates.append(cands)
+    table = {}
+
+    def cost(pin, cand):
+        key = (pin, cand.net, cand.from_spec, cand.trivial)
+        if key not in table:
+            table[key] = 0.0 if cand.trivial else float(rng.randint(1, 4))
+        return table[key]
+
+    spec_values = {p: spec_z[spec.outputs[p]] for p in ports}
+    return impl, domain, spec_values, pins, candidates, cost
+
+
+class TestAgainstSymbolicXi:
+    """The word-based check returns exactly the choices the symbolic
+    ``Xi(c)`` of ``tests/eco/reference_xi.py`` admits."""
+
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           num_points=st.integers(min_value=1, max_value=3),
+           num_ports=st.integers(min_value=1, max_value=2),
+           num_samples=st.integers(min_value=1, max_value=13),
+           limit=st.integers(min_value=1, max_value=20))
+    @settings(max_examples=80, deadline=None)
+    def test_same_choices_as_reference(self, seed, num_points, num_ports,
+                                       num_samples, limit):
+        impl, domain, spec_values, pins, candidates, cost = \
+            random_choice_problem(seed, num_points, num_ports, num_samples)
+        got = enumerate_rewiring_choices_joint(
+            impl, spec_values, domain, pins, candidates, limit=limit,
+            cost_fn=cost)
+        want = reference_choices_joint(
+            impl, spec_values, domain, pins, candidates, limit=limit,
+            cost_fn=cost)
+        assert got == want
+        if len(spec_values) == 1:
+            [(port, value)] = spec_values.items()
+            assert enumerate_rewiring_choices(
+                impl, port, domain, pins, candidates, value, limit=limit,
+                cost_fn=cost) == want
+
+    def test_example2_matches_reference(self):
+        impl, spec, domain, pins, cands, spec_z = example2_setup()
+        spec_values = {"w_0": spec_z[spec.outputs["w_0"]]}
+        assert enumerate_rewiring_choices_joint(
+            impl, spec_values, domain, pins, cands, limit=16) == \
+            reference_choices_joint(impl, spec_values, domain, pins, cands,
+                                    limit=16)

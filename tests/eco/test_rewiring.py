@@ -1,18 +1,21 @@
 """Tests for candidate rewiring-net selection (Section 4.3)."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bdd.manager import BddManager
 from repro.eco.config import EcoConfig
 from repro.eco.rewiring import RewiringContext
-from repro.eco.sampling import SamplingDomain
+from repro.eco.sampling import SamplingDomain, exhaustive_assignments
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.traverse import levelize, support_masks
+from tests.conftest import make_random_circuit
 
 
-def build_context(impl, spec, port, config=None, samples=None):
+def build_context(impl, spec, port, config=None, samples=None, ports=None):
     inputs = list(impl.inputs)
     if samples is None:
         samples = [dict(zip(inputs, bits))
@@ -25,7 +28,8 @@ def build_context(impl, spec, port, config=None, samples=None):
     return RewiringContext(
         impl, spec, port, domain, config or EcoConfig(),
         impl_z, spec_z, support_masks(impl, idx),
-        support_masks(spec, idx), levelize(impl), levelize(spec))
+        support_masks(spec, idx), levelize(impl), levelize(spec),
+        ports=ports)
 
 
 def simple_pair():
@@ -137,3 +141,53 @@ class TestErrorRegion:
         ctx = build_context(impl, spec, "o")
         # |E| = |c & (a xor b)| over (a,b,c,d) = 2 * 2 = 4
         assert ctx.error_count == 4
+
+    @staticmethod
+    def assert_counts_match_definition(ctx, impl, spec, ports):
+        """``error_count`` and ``utility`` equal the satcount-based
+        Section 4.3 definitions on the domain's BDDs."""
+        domain = ctx.domain
+        m = domain.manager
+        bits = len(domain.z_vars)
+        assert domain.z_vars == list(range(bits))  # fresh manager
+        impl_z = domain.cast_circuit(impl)
+        spec_z = domain.cast_circuit(spec)
+        diff = 0
+        for p in ports:
+            diff = m.or_(diff, m.xor(impl_z[impl.outputs[p]],
+                                     spec_z[spec.outputs[p]]))
+        region = m.and_(diff, domain.valid_codes())
+        count = max(1, m.satcount(region, num_vars=bits))
+        assert ctx.error_count == count
+        nets = [impl_z[n] for n in impl.nets()] + \
+            [spec_z[n] for n in spec.nets()]
+        for driver in nets[::3]:
+            for cand in nets[1::2]:
+                hits = m.satcount(m.and_(m.xor(driver, cand), region),
+                                  num_vars=bits)
+                assert ctx.utility(driver, cand) == hits / count
+
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           num_samples=st.integers(min_value=1, max_value=40),
+           joint=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_counts_match_definition_on_random_domains(
+            self, seed, num_samples, joint):
+        impl = make_random_circuit(seed, n_inputs=6, n_gates=16)
+        spec = make_random_circuit(seed + 1, n_inputs=6, n_gates=16)
+        rng = random.Random(seed)
+        samples = [{n: bool(rng.getrandbits(1)) for n in impl.inputs}
+                   for _ in range(num_samples)]
+        ports = ["y0", "y1"] if joint else ["y0"]
+        ctx = build_context(impl, spec, "y0", samples=samples, ports=ports)
+        self.assert_counts_match_definition(ctx, impl, spec, ports)
+
+    def test_counts_match_definition_on_exact_domain(self):
+        # 8 inputs: 256 codes, wider than one 64-bit simulation word
+        impl = make_random_circuit(31, n_inputs=8, n_gates=24)
+        spec = make_random_circuit(32, n_inputs=8, n_gates=24)
+        samples = exhaustive_assignments(impl.inputs)
+        ctx = build_context(impl, spec, "y0", samples=samples)
+        assert ctx.domain.full_mask.bit_length() == 256
+        assert ctx.error_count > 1
+        self.assert_counts_match_definition(ctx, impl, spec, ["y0"])

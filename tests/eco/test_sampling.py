@@ -82,6 +82,48 @@ class TestSamplingFunction:
         with pytest.raises(EcoError):
             d.count_in_domain(d.manager.var(extra))
 
+    def test_count_in_domain_on_preallocated_manager(self):
+        # variables allocated before z must not be counted
+        samples = [{"a": True}, {"a": False}, {"a": True}]
+        d = SamplingDomain(BddManager(3), samples, ["a"])
+        assert d.z_vars[0] == 3
+        assert d.count_in_domain(d.input_functions["a"]) == 2
+
+
+class TestCodeWords:
+    def test_masks(self):
+        samples = [{"a": True}, {"a": False}, {"a": True}]
+        d = make_domain(samples, ["a"])
+        assert d.full_mask == 0b1111
+        assert d.valid_mask == 0b0111
+        # code 3 pads with the last sample
+        assert d.word(d.input_functions["a"]) == 0b1101
+
+    @pytest.mark.parametrize("preallocated", [0, 2])
+    @pytest.mark.parametrize("num_samples", [1, 5, 8])
+    def test_word_matches_code_evaluation(self, preallocated, num_samples):
+        import random
+        c = make_random_circuit(4, n_inputs=4, n_gates=20)
+        rng = random.Random(num_samples)
+        samples = [{n: bool(rng.getrandbits(1)) for n in c.inputs}
+                   for _ in range(num_samples)]
+        d = SamplingDomain(BddManager(preallocated), samples, c.inputs)
+        m = d.manager
+        values = d.cast_circuit(c)
+        for k in range(len(d.samples)):
+            assignment = m.pick_assignment(d.code_of(k),
+                                           variables=d.z_vars)
+            for net, node in values.items():
+                assert (d.word(node) >> k) & 1 == \
+                    m.evaluate(node, assignment), (net, k)
+
+    def test_word_rejects_foreign_support(self):
+        d = make_domain([{"a": True}, {"a": False}], ["a"])
+        extra = d.manager.add_var()
+        mixed = d.manager.and_(d.input_functions["a"], d.manager.var(extra))
+        with pytest.raises(EcoError):
+            d.word(mixed)
+
 
 class TestCastCircuit:
     def test_cast_matches_per_sample_simulation(self):
