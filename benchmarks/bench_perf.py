@@ -13,6 +13,9 @@ Hot paths, each timed against the reference it replaced:
 * **final verification** — per-output queries over every output of a
   patched netlist vs the engine's re-proof of only the outputs that
   failed at diagnosis or whose structural key changed;
+* **encoding** — per-port proofs on one hash-consed miter vs a miter
+  of the plain encoder of ``tests/sat/reference_tseitin.py``, with an
+  equal-verdict check on every port;
 * **rewiring choices** — the per-choice Theorem 1 check on
   sampling-domain code words vs the symbolic ``Xi(c)`` of
   ``tests/eco/reference_xi.py``, replayed on the engine's own
@@ -28,11 +31,16 @@ wall time / SAT / outcome with ``repro runs regress --baseline``.
 import random
 import time
 
-from repro.cec.equivalence import check_equivalence, nonequivalent_outputs
+from repro.cec import equivalence
+from repro.cec.equivalence import (
+    PairwiseChecker,
+    check_equivalence,
+    nonequivalent_outputs,
+)
 from repro.netlist.circuit import Pin
 from repro.netlist.simulate import batch_mask, compiled_plan, random_patterns
 from repro.netlist.traverse import topological_order
-from repro.sat.solver import Solver
+from repro.sat.solver import UNSAT, Solver
 from repro.eco.config import EcoConfig
 from repro.eco.engine import DiagnosedOutputs, rectify
 from repro.eco.incremental import IncrementalValidator
@@ -43,6 +51,7 @@ from repro.eco.choices import enumerate_rewiring_choices
 from repro.bench.runner import traced_case_run
 from tests.eco.reference_xi import reference_choices_joint
 from tests.netlist.reference_sim import walk_words
+from tests.sat import reference_tseitin
 
 #: mid-size suite case: large enough that per-candidate re-encoding
 #: dominates, small enough for a CI smoke job
@@ -262,6 +271,85 @@ def test_perf_verification(benchmark, suite_cases, publish, quick):
     assert data["speedup"] > 1.0
 
 
+class _CountingSolver(Solver):
+    """A solver that counts the clauses it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.clauses_added = 0
+
+    def add_clause(self, lits):
+        self.clauses_added += 1
+        return super().add_clause(lits)
+
+
+def test_perf_encoding(benchmark, suite_cases, publish, monkeypatch,
+                       quick):
+    """Per-port proofs on the hash-consed miter vs the plain encoder.
+
+    Every shared port of the case is proven on one solver per side, as
+    :func:`nonequivalent_outputs` does for the ports its simulation
+    pre-pass cannot separate.
+    """
+    case = suite_cases[PERF_CASE]
+    impl, spec = case.impl, case.spec
+    ports = [p for p in impl.outputs if p in spec.outputs]
+    monkeypatch.setattr(equivalence, "Solver", _CountingSolver)
+    repeats = 1 if quick else 5
+
+    def hashed():
+        checker = PairwiseChecker(impl, spec)
+        return checker.solver, [checker.check_pair(p).equivalent
+                                for p in ports]
+
+    def plain():
+        solver = _CountingSolver()
+        enc = reference_tseitin.CircuitEncoder(solver)
+        lmap = enc.encode(impl)
+        rmap = enc.encode(spec, input_vars={n: lmap[n]
+                                            for n in impl.inputs})
+        verdicts = []
+        for port in ports:
+            diff = enc.xor2(lmap[impl.outputs[port]],
+                            rmap[spec.outputs[port]])
+            verdicts.append(solver.solve(assumptions=[diff]) == UNSAT)
+        return solver, verdicts
+
+    def best_of(run):
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            solver, verdicts = run()
+            best = min(best, time.perf_counter() - t0)
+        return best, solver, verdicts
+
+    (plain_s, plain_solver, plain_verdicts), \
+        (hashed_s, hashed_solver, hashed_verdicts) = benchmark.pedantic(
+            lambda: (best_of(plain), best_of(hashed)),
+            rounds=1, iterations=1)
+    assert hashed_verdicts == plain_verdicts
+    data = {"bench": "perf_encoding", "case_id": PERF_CASE,
+            "ports": len(ports), "speedup": plain_s / hashed_s}
+    for side, solver, secs in (("plain", plain_solver, plain_s),
+                               ("hashed", hashed_solver, hashed_s)):
+        data[side] = {"vars": solver.num_vars,
+                      "clauses": solver.clauses_added,
+                      "conflicts": solver.conflicts, "ms": secs * 1000}
+    rows = "\n".join(
+        f"  {label:<20} : {data[side]['vars']:>6} vars "
+        f"{data[side]['clauses']:>6} clauses "
+        f"{data[side]['conflicts']:>6} conflicts "
+        f"{data[side]['ms']:>8.1f} ms"
+        for label, side in (("plain encoder", "plain"),
+                            ("hash-consed encoder", "hashed")))
+    publish("perf_encoding.txt", (
+        f"perf: miter encoding, case {PERF_CASE} "
+        f"({len(ports)} per-port proofs, min of {repeats})\n{rows}\n"
+        f"  {'speedup':<20} : {data['speedup']:.2f}x"),
+        data=data)
+    assert data["hashed"]["vars"] <= data["plain"]["vars"]
+
+
 def test_perf_choices(benchmark, suite_cases, publish, monkeypatch,
                       quick):
     """Word-based choice enumeration vs the symbolic ``Xi(c)``.
@@ -344,7 +432,6 @@ def test_perf_engine_run(benchmark, suite_cases, publish):
         "case_id": PERF_CASE,
         "wall_seconds": benchmark.stats.stats.mean,
         "incremental_solves": counters["incremental_solves"],
-        "encode_cache_hits": counters["encode_cache_hits"],
         "plan_evals": counters["plan_evals"],
         "per_output": dict(result.per_output),
     }
@@ -352,7 +439,6 @@ def test_perf_engine_run(benchmark, suite_cases, publish):
         f"perf: engine run, case {PERF_CASE} "
         f"({benchmark.stats.stats.mean:.2f}s)\n"
         f"  incremental_solves : {data['incremental_solves']}\n"
-        f"  encode_cache_hits  : {data['encode_cache_hits']}\n"
         f"  plan_evals         : {data['plan_evals']}"),
         data=data, run_records=[record])
     assert data["incremental_solves"] > 0

@@ -120,7 +120,7 @@ class DeltaSyn:
                 if snet in spec.inputs and inet == snet:
                     confirmed[snet] = True
                     return True
-                neq = encoder._encode_xor2(spec_map[snet], impl_map[inet])
+                neq = encoder.xor2(spec_map[snet], impl_map[inet])
                 ok = solver.solve(assumptions=[neq],
                                   conflict_budget=self.sat_budget) == UNSAT
                 confirmed[snet] = ok

@@ -31,53 +31,37 @@ class EquivalenceResult:
 class PairwiseChecker:
     """One incremental SAT instance comparing two circuits.
 
-    Encodes both circuits once over shared input variables and exposes
-    per-output-pair queries through assumptions, so checking many pairs
-    reuses all learned clauses.  An optional
-    :class:`~repro.sat.cnfcache.CnfCache` replays recorded CNF
-    templates instead of re-walking the circuits.
+    Encodes both circuits through one hash-consing
+    :class:`~repro.sat.tseitin.CircuitEncoder` over shared input
+    variables, so every net the two sides have in common gets one
+    literal and is encoded once.  Per-output-pair queries run through
+    assumptions, so checking many pairs reuses all learned clauses; a
+    pair whose two sides map to the same literal is equivalent without
+    a solver call.
     """
 
-    def __init__(self, left: Circuit, right: Circuit, cache=None):
+    def __init__(self, left: Circuit, right: Circuit):
         self.left = left
         self.right = right
         self.solver = Solver()
-        encoder = CircuitEncoder(self.solver)
-        shared = {}
-        self.input_vars: Dict[str, int] = {}
-        if cache is not None:
-            left_map = cache.encode(self.solver, left)
-        else:
-            left_map = encoder.encode(left)
-        for n in left.inputs:
-            shared[n] = left_map[n]
-        if cache is not None:
-            right_map = cache.encode(self.solver, right,
-                                     input_vars=shared)
-        else:
-            right_map = encoder.encode(right, input_vars=shared)
-        for n in set(left.inputs) | set(right.inputs):
-            self.input_vars[n] = shared.get(n, right_map.get(n))
-        self._diff_var: Dict[str, int] = {}
-        self._encoder = encoder
-        self._left_map = left_map
-        self._right_map = right_map
-
-    def diff_literal(self, port: str) -> int:
-        """Solver literal asserting 'port differs between the sides'."""
-        if port not in self._diff_var:
-            if port not in self.left.outputs or port not in self.right.outputs:
-                raise NetlistError(f"output {port!r} missing on one side")
-            a = self._left_map[self.left.outputs[port]]
-            b = self._right_map[self.right.outputs[port]]
-            self._diff_var[port] = self._encoder._encode_xor2(a, b)
-        return self._diff_var[port]
+        self._encoder = CircuitEncoder(self.solver)
+        self._left_map = self._encoder.encode(left)
+        shared = {n: self._left_map[n] for n in left.inputs}
+        self._right_map = self._encoder.encode(right, input_vars=shared)
+        self.input_vars: Dict[str, int] = {
+            n: shared.get(n, self._right_map.get(n))
+            for n in set(left.inputs) | set(right.inputs)}
 
     def check_pair(self, port: str,
                    conflict_budget: Optional[int] = None) -> EquivalenceResult:
         """Is one output pair equivalent?"""
-        lit = self.diff_literal(port)
-        status = self.solver.solve(assumptions=[lit],
+        if port not in self.left.outputs or port not in self.right.outputs:
+            raise NetlistError(f"output {port!r} missing on one side")
+        a = self._left_map[self.left.outputs[port]]
+        b = self._right_map[self.right.outputs[port]]
+        if a == b:
+            return EquivalenceResult(True)
+        status = self.solver.solve(assumptions=[self._encoder.xor2(a, b)],
                                    conflict_budget=conflict_budget)
         if status == UNSAT:
             return EquivalenceResult(True)

@@ -71,7 +71,7 @@ def sweep_equivalent_nets(circuit: Circuit, rounds: int = 4,
     for members in classes:
         rep = members[0]
         for other in members[1:]:
-            neq = encoder._encode_xor2(varmap[rep], varmap[other])
+            neq = encoder.xor2(varmap[rep], varmap[other])
             status = solver.solve(assumptions=[neq],
                                   conflict_budget=conflict_budget)
             if status == UNSAT:

@@ -893,8 +893,7 @@ class SysEco:
             validator = inc_box[0]
             if validator is None:
                 validator = IncrementalValidator(
-                    work, spec, pins, cache=run.cnf_cache,
-                    counters=run.counters)
+                    work, spec, pins, counters=run.counters)
                 inc_box[0] = validator
             if validator.covers(ops):
                 return validator.validate(

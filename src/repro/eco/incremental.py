@@ -18,13 +18,18 @@ learned clause carries over to the next candidate.
 
 Rewires sourced from the specification need no cloning here: both
 circuits are encoded over shared input variables, so tying a pin
-variable to the spec net's variable is logically identical to wiring
+variable to the spec net's literal is logically identical to wiring
 the pin to a structural clone of that cone.  The patched circuit is
 materialized (via the legacy apply path) only for the *winning*
 candidate.
 
-The validator reuses the run's :class:`~repro.sat.cnfcache.CnfCache`
-for the specification side and exposes the ``solver`` +
+Every net maps to a solver literal.  The specification goes through
+the same hash-consing :class:`~repro.sat.tseitin.CircuitEncoder` after
+the cut implementation, so a spec net shares the literal of every
+structurally identical implementation net whose cone holds no cut pin
+(a cut gate's node holds its free pin variable, which no spec net
+reaches; and a merge never joins nets of different functions).  The
+validator exposes the ``solver`` +
 ``check_pair(port, conflict_budget)`` surface of
 :class:`~repro.cec.equivalence.PairwiseChecker`, so
 :meth:`RunSupervisor.check_pair_supervised` drives it unchanged —
@@ -41,7 +46,6 @@ from repro.errors import NetlistError
 from repro.netlist.circuit import Circuit, Pin
 from repro.netlist.traverse import dependent_outputs, topological_order
 from repro.sat import UNKNOWN, UNSAT, Solver
-from repro.sat.cnfcache import CnfCache
 from repro.sat.tseitin import CircuitEncoder
 from repro.cec.equivalence import EquivalenceResult
 from repro.eco.patch import RewireOp
@@ -64,14 +68,12 @@ class IncrementalValidator:
             rewires whose pins are all in this set can be validated
             (:meth:`covers`); the engine falls back to the legacy path
             otherwise.
-        cache: optional :class:`CnfCache` for the specification side.
         counters: optional ``RunCounters`` receiving
             ``incremental_solves``.
     """
 
     def __init__(self, impl: Circuit, spec: Circuit,
-                 pins: Sequence[Pin], cache: Optional[CnfCache] = None,
-                 counters=None):
+                 pins: Sequence[Pin], counters=None):
         self.impl = impl
         self.spec = spec
         self.counters = counters
@@ -79,12 +81,11 @@ class IncrementalValidator:
         self._encoder = CircuitEncoder(self.solver)
         #: gate pin -> free variable spliced into the pin's fanin slot
         self._pin_var: Dict[Pin, int] = {}
-        #: pin -> variable of its original driver (default selector)
+        #: pin -> literal of its original driver (default selector)
         self._pin_default: Dict[Pin, int] = {}
         #: output-port pin -> free variable observed by the diff miter
         self._port_var: Dict[str, int] = {}
         self._selectors: Dict[Tuple[Pin, int], int] = {}
-        self._diff_lit: Dict[str, int] = {}
         self._affected: Dict[str, List[str]] = {}
         self._assumptions: List[int] = []
 
@@ -117,12 +118,7 @@ class IncrementalValidator:
         self._impl_map = varmap
 
         shared = {n: varmap[n] for n in spec.inputs if n in varmap}
-        if cache is not None:
-            self._spec_map = cache.encode(solver, spec,
-                                          input_vars=shared)
-        else:
-            self._spec_map = self._encoder.encode(spec,
-                                                  input_vars=shared)
+        self._spec_map = self._encoder.encode(spec, input_vars=shared)
         self.input_vars = {
             n: varmap.get(n, self._spec_map.get(n))
             for n in set(impl.inputs) | set(spec.inputs)
@@ -176,15 +172,10 @@ class IncrementalValidator:
         free port variable (selected per candidate); all others read
         the implementation net directly.
         """
-        lit = self._diff_lit.get(port)
-        if lit is None:
-            a = self._port_var.get(port)
-            if a is None:
-                a = self._impl_map[self.impl.outputs[port]]
-            b = self._spec_map[self.spec.outputs[port]]
-            lit = self._encoder._encode_xor2(a, b)
-            self._diff_lit[port] = lit
-        return lit
+        a = self._port_var.get(port)
+        if a is None:
+            a = self._impl_map[self.impl.outputs[port]]
+        return self._encoder.xor2(a, self._spec_map[self.spec.outputs[port]])
 
     # ------------------------------------------------------------------
     def _arm(self, ops: Sequence[RewireOp]) -> None:

@@ -83,8 +83,8 @@ def sat_error_samples(impl: Circuit, spec: Circuit, port: str,
     spec_map = encoder.encode(spec, input_vars=shared)
     for n in spec.inputs:
         shared.setdefault(n, spec_map[n])
-    diff = encoder._encode_xor2(impl_map[impl.outputs[port]],
-                                spec_map[spec.outputs[port]])
+    diff = encoder.xor2(impl_map[impl.outputs[port]],
+                        spec_map[spec.outputs[port]])
     solver.add_clause([diff])
 
     found: List[Assignment] = []

@@ -60,7 +60,7 @@ def refine_patch_inputs(patched: Circuit, cloned_gates: Set[str],
         for candidate in originals:
             if candidate in transitive_fanout(patched, [clone]):
                 continue  # would create a cycle
-            neq = encoder._encode_xor2(varmap[clone], varmap[candidate])
+            neq = encoder.xor2(varmap[clone], varmap[candidate])
             if solver.solve(assumptions=[neq],
                             conflict_budget=conflict_budget) == UNSAT:
                 patched.replace_net(clone, candidate)

@@ -311,7 +311,7 @@ def validate_rewire(impl: Circuit, spec: Circuit, ops: Sequence[RewireOp],
                     failing: Sequence[str], clone_map: Dict[str, str],
                     sat_budget: Optional[int] = None,
                     target: Optional[str] = None,
-                    run=None, cache=None) -> ValidationOutcome:
+                    run=None) -> ValidationOutcome:
     """Exact check of a candidate rewire on the full input domain.
 
     A candidate is valid when every output it touches is either proven
@@ -346,9 +346,7 @@ def validate_rewire(impl: Circuit, spec: Circuit, ops: Sequence[RewireOp],
             affected.add(op.pin.owner)
 
     failing_set = set(failing)
-    if cache is None and run is not None:
-        cache = getattr(run, "cnf_cache", None)
-    checker = PairwiseChecker(work, spec, cache=cache)
+    checker = PairwiseChecker(work, spec)
     fixed: List[str] = []
     unknown: List[str] = []
     target_cex: Optional[Dict[str, bool]] = None

@@ -34,8 +34,6 @@ class RunCounters:
 
     * ``incremental_solves`` — assumption-based candidate solves on the
       persistent validation miter;
-    * ``encode_cache_hits`` — CNF encodings served by template replay
-      instead of a fresh Tseitin walk;
     * ``plan_evals`` — batched evaluations through compiled simulation
       plans (engine-visible ones: screens and samplers);
     * ``parallel_workers`` — worker processes that contributed results
@@ -72,7 +70,6 @@ class RunCounters:
     joint_commits: int = 0
     resubstitutions: int = 0
     incremental_solves: int = 0
-    encode_cache_hits: int = 0
     plan_evals: int = 0
     parallel_workers: int = 0
     sat_escalations: int = 0

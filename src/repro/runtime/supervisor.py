@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Set
 from repro.errors import BddNodeLimitError, SatBudgetExceeded
 from repro.obs.trace import ensure_trace
 from repro.runtime.budget import RunBudget
-from repro.sat.cnfcache import CnfCache
 from repro.runtime.counters import RunCounters
 from repro.runtime.escalate import MIN_INITIAL, EscalationPolicy
 from repro.runtime.faultinject import (
@@ -72,8 +71,6 @@ class RunSupervisor:
         #: mapped to the reason; the engine skips searching them and
         #: completes them via the fallback (port -> reason)
         self.quarantined: Dict[str, str] = {}
-        #: run-wide CNF template cache (spec cones, miter encodings)
-        self.cnf_cache = CnfCache(counters=self.counters)
         #: per-run scratch for counterexample-guided refinement
         self.cegar_cex: List[Dict[str, bool]] = []
         self._attempts: Dict[str, int] = {}

@@ -5,7 +5,8 @@ embeds MiniSAT v1.13): two-watched-literal propagation, VSIDS branching
 with phase saving, first-UIP conflict analysis with clause minimization,
 geometric restarts and learned-clause reduction.  On top sit a CNF
 container with DIMACS I/O and the Tseitin transformation from netlists
-to CNF used by miters and by the ECO validation step.
+to CNF (hash-consed: every net maps to a literal) used by miters and
+by the ECO validation step.
 
 Budgets: :meth:`Solver.solve` accepts a conflict budget and returns
 ``UNKNOWN`` when exhausted — the 'resource-constrained SAT solver' used
@@ -15,7 +16,6 @@ to validate sampled rewire candidates (Section 5.1).
 from repro.sat.solver import Solver, SAT, UNSAT, UNKNOWN
 from repro.sat.cnf import Cnf, parse_dimacs, to_dimacs
 from repro.sat.tseitin import CircuitEncoder, encode_circuit
-from repro.sat.cnfcache import CnfCache, CnfTemplate
 
 __all__ = [
     "Solver",
@@ -27,6 +27,4 @@ __all__ = [
     "to_dimacs",
     "CircuitEncoder",
     "encode_circuit",
-    "CnfCache",
-    "CnfTemplate",
 ]
