@@ -362,7 +362,13 @@ class BddManager:
             memo[node] = total
             return total
 
-        return count(f) << level(f)
+        try:
+            return count(f) << level(f)
+        finally:
+            # ``count`` reaches itself through its closure cell, a cycle
+            # that would hold ``self`` until a full collection; clearing
+            # the cell frees the manager with its last reference
+            del count
 
     def pick_assignment(self, f: int,
                         variables: Optional[Sequence[int]] = None,
@@ -412,7 +418,10 @@ class BddManager:
             yield from walk(self._hi[node])
             del path[v]
 
-        yield from walk(f)
+        try:
+            yield from walk(f)
+        finally:
+            del walk  # break the closure cycle, as in :meth:`satcount`
 
     def cube(self, assignment: Mapping[int, bool]) -> int:
         """BDD of the conjunction of the given literals."""

@@ -124,22 +124,17 @@ class EcoConfig:
     Telemetry sampling (active only when the run is traced; see
     :mod:`repro.obs.sampler`):
 
-        sample_interval_s: seconds between ``obs.sample`` counter
-            snapshots taken by the in-run sampler thread; ``0``
-            disables the thread but keeps the start/stop snapshots.
+        sample_interval_s: minimum seconds between ``obs.sample``
+            counter snapshots; the sampler runs on the engine's own
+            thread and samples at span boundaries.  ``0`` keeps only
+            the start/stop snapshots.
         stall_window_s: span-progress silence after which the sampler
-            emits a ``run.stalled`` event with a degradation hint.
+            emits a ``run.stalled`` event with a degradation hint (at
+            the next span boundary) and ``/healthz`` reports
+            ``stalled``.
         trace_malloc: run ``tracemalloc`` for the duration of a traced
             run and record traced-memory peaks in each sample
             (measurable overhead; off by default).
-        sync_debug: enable the runtime lock-order/deadlock detector
-            (:mod:`repro.runtime.sync`) for the run: every sanctioned
-            lock participates in the global acquisition-order graph,
-            order inversions are logged with both stacks, and per-lock
-            wait times feed the ``repro_sync_lock_wait_seconds``
-            histogram on a traced run's registry.  Equivalent to
-            ``REPRO_SYNC_DEBUG=1``; off by default (the traced
-            wrappers cost a few hundred nanoseconds per acquisition).
     """
 
     num_samples: int = 16
@@ -180,7 +175,6 @@ class EcoConfig:
     sample_interval_s: float = 0.05
     stall_window_s: float = 30.0
     trace_malloc: bool = False
-    sync_debug: bool = False
 
     def __post_init__(self) -> None:
         for name in ("num_samples", "max_points", "max_candidate_pins",

@@ -158,9 +158,6 @@ class SysEco:
         trace = ensure_trace(trace)
         self._check_interfaces(impl, spec)
         config = self.config
-        if config.sync_debug:
-            from repro.runtime.sync import enable_sync_debug
-            enable_sync_debug(registry=trace.metrics)
         rng = random.Random(config.seed)
         run = RunSupervisor.from_config(config, injector=injector,
                                         trace=trace)
@@ -181,10 +178,10 @@ class SysEco:
                                            journal=journal)
         finally:
             if sampler is not None:
-                # the sampler thread must never outlive the run, even
-                # when teardown's final sample raises (e.g. a broken
-                # trace exporter) while the run itself is unwinding a
-                # failure — log and keep the original exception
+                # the sampler must unbind from the trace even when its
+                # final sample raises (e.g. a broken trace exporter)
+                # while the run itself is unwinding a failure — log and
+                # keep the original exception
                 try:
                     sampler.stop()
                 except Exception:

@@ -40,6 +40,12 @@ can kill any Nth task deterministically.
 ``REPRO_ECO_JOBS_INLINE=1`` forces workers to run in-process (same
 code path minus the pool, including injected deaths and retries),
 which keeps multi-worker merge behavior deterministic for tests.
+
+The main process starts no thread of its own: while it waits for the
+workers it drains their live telemetry itself
+(:class:`~repro.obs.live.LiveAggregator`).  So a traced run stays
+single-threaded and its pools keep the fast ``fork`` start method
+(:func:`safe_mp_context`).
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ from __future__ import annotations
 import logging
 import os
 import pickle
+import threading
+import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -62,6 +70,9 @@ logger = logging.getLogger("repro.eco")
 
 #: seconds past the run deadline before a silent worker is declared dead
 HEARTBEAT_GRACE_S = 5.0
+
+#: seconds between live-telemetry drains while waiting on the workers
+POLL_S = 0.05
 
 
 class _PoolUnavailable(Exception):
@@ -186,6 +197,26 @@ def _ops_applicable(work: Circuit, spec: Circuit, ops) -> bool:
     return True
 
 
+def safe_mp_context():
+    """An *explicit* multiprocessing context for process pools (CC005).
+
+    ``fork`` after threads exist is undefined behavior: the child
+    inherits locks whose owners never run in it.  The engine starts no
+    thread, so every run, traced or not, keeps the fast ``fork`` method
+    where the platform offers it.  Only when another thread is alive
+    (the ``--serve-metrics`` endpoint, or an embedding application's
+    own threads) do pools start with ``spawn``.
+    """
+    import multiprocessing
+
+    available = multiprocessing.get_all_start_methods()
+    if "fork" in available and threading.active_count() == 1:
+        return multiprocessing.get_context("fork")
+    if "spawn" in available:
+        return multiprocessing.get_context("spawn")
+    return multiprocessing.get_context()
+
+
 def _heartbeat_timeout(run: RunSupervisor) -> Optional[float]:
     """Per-task deadline for a worker's result, from the run budget.
 
@@ -201,58 +232,69 @@ def _heartbeat_timeout(run: RunSupervisor) -> Optional[float]:
 
 def _dispatch_pool(payloads: List[tuple], pending: List[int],
                    extras: Dict[int, tuple], run: RunSupervisor,
+                   aggregator: Optional[LiveAggregator] = None,
                    ) -> Tuple[Dict[int, WorkerResult], Dict[int, str]]:
     """Run one round of partitions in real processes.
 
     One single-worker executor per partition, so one worker's death
     breaks only its own future — innocent partitions keep their
     results.  ``extras[i]`` is the per-dispatch payload tail (kill
-    verdict, live-bus queue, worker id).  Returns ``(outcomes,
-    deaths)`` keyed by partition index; a partition appears in exactly
-    one of the two.
+    verdict, live-bus queue, worker id).  While the futures run, the
+    live ``aggregator`` is pumped every :data:`POLL_S` seconds.
+    Returns ``(outcomes, deaths)`` keyed by partition index; a
+    partition appears in exactly one of the two.
     """
     import concurrent.futures as cf
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    from repro.runtime.sync import safe_mp_context
-
     outcomes: Dict[int, WorkerResult] = {}
     deaths: Dict[int, str] = {}
     executors: Dict[int, ProcessPoolExecutor] = {}
-    futures: Dict[int, cf.Future] = {}
+    futures: Dict[cf.Future, int] = {}
     try:
         try:
-            # an explicit start method: with the live-aggregator pump
-            # thread running, fork would snapshot held locks into the
-            # children (CC005); safe_mp_context keeps fork only while
-            # the process is single-threaded
             mp_context = safe_mp_context()
             for i in pending:
                 executors[i] = ProcessPoolExecutor(
                     max_workers=1, mp_context=mp_context)
-                futures[i] = executors[i].submit(
-                    _run_worker, payloads[i] + extras[i])
+                futures[executors[i].submit(
+                    _run_worker, payloads[i] + extras[i])] = i
         except (OSError, ImportError) as exc:
             raise _PoolUnavailable(str(exc)) from exc
-        for i in pending:
-            try:
-                outcomes[i] = futures[i].result(
-                    timeout=_heartbeat_timeout(run))
-            except BrokenProcessPool as exc:
-                deaths[i] = f"worker process died: {exc or 'broken pool'}"
-            except WorkerDiedError as exc:
-                deaths[i] = str(exc)
-            except cf.TimeoutError:
-                futures[i].cancel()
-                deaths[i] = "heartbeat deadline missed"
-            except pickle.PicklingError as exc:
-                raise _PoolUnavailable(str(exc)) from exc
-            except OSError as exc:
-                deaths[i] = f"worker I/O failure: {exc}"
+        waiting = dict(futures)
+        timeout = _heartbeat_timeout(run)
+        expiry = None if timeout is None else time.monotonic() + timeout
+        while waiting:
+            done, _ = cf.wait(waiting, timeout=POLL_S,
+                              return_when=cf.FIRST_COMPLETED)
+            if aggregator is not None:
+                aggregator.pump()
+            for future in done:
+                i = waiting.pop(future)
+                try:
+                    outcomes[i] = future.result()
+                except BrokenProcessPool as exc:
+                    deaths[i] = ("worker process died: "
+                                 f"{exc or 'broken pool'}")
+                except WorkerDiedError as exc:
+                    deaths[i] = str(exc)
+                except pickle.PicklingError as exc:
+                    raise _PoolUnavailable(str(exc)) from exc
+                except OSError as exc:
+                    deaths[i] = f"worker I/O failure: {exc}"
+            if expiry is not None and time.monotonic() >= expiry:
+                for future, i in waiting.items():
+                    future.cancel()
+                    deaths[i] = "heartbeat deadline missed"
+                break
     finally:
-        for ex in executors.values():
-            ex.shutdown(wait=False, cancel_futures=True)
+        finished = {i for future, i in futures.items() if future.done()}
+        for i, ex in executors.items():
+            # a finished worker exits at once, so joining its executor
+            # is cheap and leaves no pool thread alive to push a later
+            # pool off ``fork``; a worker still running is abandoned
+            ex.shutdown(wait=i in finished, cancel_futures=True)
     return outcomes, deaths
 
 
@@ -306,7 +348,7 @@ def _run_partitions(payloads: List[tuple], run: RunSupervisor,
                     deaths[i] = str(exc)
         else:
             outcomes, deaths = _dispatch_pool(payloads, pending,
-                                              extras, run)
+                                              extras, run, aggregator)
         if aggregator is not None:
             aggregator.pump()
         retry: List[int] = []
@@ -381,7 +423,6 @@ def parallel_verify(work: Circuit, spec: Circuit, jobs: int,
         try:
             from concurrent.futures import ProcessPoolExecutor
 
-            from repro.runtime.sync import safe_mp_context
             with ProcessPoolExecutor(
                     max_workers=len(groups),
                     mp_context=safe_mp_context()) as pool:
@@ -436,7 +477,7 @@ def parallel_repair(engine, work: Circuit, spec: Circuit,
         bus = LiveBus.create(inline)
         if bus is not None:
             aggregator = LiveAggregator(
-                run.trace, bus, registry=run.trace.metrics).start()
+                run.trace, bus, registry=run.trace.metrics)
     try:
         supervised = _run_partitions(payloads, run, policy, inline,
                                      bus=bus, aggregator=aggregator)
@@ -449,7 +490,7 @@ def parallel_repair(engine, work: Circuit, spec: Circuit,
         return work, failing
     finally:
         if aggregator is not None:
-            aggregator.stop()
+            aggregator.pump()  # drain the bus before it closes
         if bus is not None:
             bus.close()
     results = [r for r in supervised if r is not None]

@@ -1,14 +1,12 @@
 """Concurrency analyzer: AST rules enforcing the threading discipline.
 
 ``repro lint --self`` runs these ``CC...`` rules alongside the ``RI``
-repo invariants.  They encode the concurrency architecture documented
-in ``docs/static-analysis.md`` ("Concurrency rules"):
+repo invariants.  The engine itself is single-threaded plus worker
+processes; the rules guard what still has a thread to share: the
+``--serve-metrics`` endpoint, the metrics-registry and run-store locks
+and the worker pools (``docs/static-analysis.md``, "Concurrency
+rules"):
 
-* ``CC001`` — raw ``threading`` primitives (``Lock`` / ``RLock`` /
-  ``Condition`` / ``Event`` / ``Semaphore`` / ``Barrier`` /
-  ``Thread`` / ``local``) constructed outside
-  :mod:`repro.runtime.sync`; everything must go through the
-  ``make_*`` factories so lock-order tracing can see it.
 * ``CC002`` — explicit ``.acquire()`` not release-protected: the only
   sanctioned shapes are ``with lock:``, ``acquire()`` immediately
   followed by ``try/finally: release()``, or ``acquire()`` as the
@@ -21,68 +19,34 @@ in ``docs/static-analysis.md`` ("Concurrency rules"):
   a thread-spawning module outside a held-lock region.
 * ``CC005`` — ``ProcessPoolExecutor`` without an explicit
   ``mp_context=`` (the fork-after-thread hazard; use
-  :func:`repro.runtime.sync.safe_mp_context`).
+  :func:`repro.eco.parallel.safe_mp_context`).
 * ``CC006`` — a class that starts threads but has no ``.join(...)``
   anywhere on its teardown surface, or a thread started off an
-  unowned constructor chain (``make_thread(...).start()``).
-* ``CC007`` — ``sys.setswitchinterval`` outside the race harness
-  (interpreter-global tuning belongs to ``repro.lint.racecheck``).
+  unowned constructor chain (``Thread(...).start()``).
 * ``CC008`` — unbounded ``.join()`` / ``.wait()`` (no timeout)
   anywhere in library code: shutdown paths must not hang forever.
 * ``CC009`` — process-global start-method mutation
   (``multiprocessing.set_start_method`` / ``os.fork``); pools must
-  take a local context from :func:`~repro.runtime.sync.safe_mp_context`.
-* ``CC010`` (warning) — nested acquisition of two distinct locks; the
-  ordering becomes part of the global lock-order discipline and should
-  be exercised under ``REPRO_SYNC_DEBUG=1`` (see the runtime
-  lock-order graph).  The race harness itself is exempt — its
-  inversion demo nests in both orders on purpose.
+  take a local context from
+  :func:`~repro.eco.parallel.safe_mp_context`.
 
 Like the RI rules, these are AST-level approximations tuned for zero
-false positives on this codebase; the allowlists are part of the rule
-definitions.
+false positives on this codebase.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.lint.diag import Diagnostic, LintReport, error, warning
-
-#: the one module allowed to touch raw ``threading`` primitives
-SYNC_ALLOWED: Tuple[str, ...] = (
-    "repro/runtime/sync.py",
-)
-
-#: modules allowed to call ``sys.setswitchinterval``
-SWITCH_INTERVAL_ALLOWED: Tuple[str, ...] = (
-    "repro/lint/racecheck.py",
-)
-
-#: modules exempt from the CC010 nesting advisory — the race harness
-#: *intentionally* nests locks in both orders (the inversion demo
-#: that proves the runtime detector fires)
-NESTED_ALLOWED: Tuple[str, ...] = (
-    "repro/lint/racecheck.py",
-)
-
-#: raw ``threading.*`` constructors CC001 fences off
-_RAW_PRIMITIVES = frozenset({
-    "Lock", "RLock", "Condition", "Event", "Semaphore",
-    "BoundedSemaphore", "Barrier", "Thread", "Timer", "local",
-})
+from repro.lint.diag import Diagnostic, LintReport, error
 
 #: receiver names that mark a ``with`` block as a held-lock region
 _LOCKISH = re.compile(r"lock|mutex|guard|cond", re.IGNORECASE)
 
 #: zero-argument methods that block forever (CC003 / CC008)
 _BLOCKING_METHODS = frozenset({"join", "wait", "get"})
-
-
-def _allowed(module: str, prefixes: Tuple[str, ...]) -> bool:
-    return any(module == p or module.startswith(p) for p in prefixes)
 
 
 def _terminal_name(expr: ast.expr) -> Optional[str]:
@@ -117,29 +81,20 @@ def _calls_with_attr(node: ast.AST, attr: str) -> List[ast.Call]:
 
 
 def _is_thread_ctor(call: ast.Call) -> bool:
-    """``make_thread(...)`` or ``threading.Thread(...)`` / ``Thread(...)``."""
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id in ("make_thread", "Thread")
-    if isinstance(func, ast.Attribute):
-        return func.attr in ("Thread", "make_thread")
-    return False
+    """``threading.Thread(...)`` / ``Thread(...)``."""
+    return _terminal_name(call.func) == "Thread"
 
 
 class _ConcurrencyVisitor(ast.NodeVisitor):
     """Collects CC diagnostics for one module."""
 
-    def __init__(self, module: str, display_path: str,
-                 spawns_threads: bool):
-        self.module = module
+    def __init__(self, display_path: str, spawns_threads: bool):
         self.display_path = display_path
         self.spawns_threads = spawns_threads
         self.diagnostics: List[Diagnostic] = []
         #: stack of held-lock receiver keys (with-block nesting)
         self._lock_stack: List[str] = []
         self._parents: Dict[ast.AST, ast.AST] = {}
-        #: names from ``from threading import X`` (CC001 via bare name)
-        self._threading_names: set = set()
         self._pool_names: set = set()
 
     # ------------------------------------------------------------------
@@ -147,14 +102,12 @@ class _ConcurrencyVisitor(ast.NodeVisitor):
         for parent in ast.walk(tree):
             for child in ast.iter_child_nodes(parent):
                 self._parents[child] = parent
-            if isinstance(parent, ast.ImportFrom):
-                names = {a.asname or a.name for a in parent.names}
-                if parent.module == "threading":
-                    self._threading_names.update(names)
-                elif parent.module in ("concurrent.futures",
-                                       "multiprocessing"):
-                    self._pool_names.update(
-                        n for n in names if n == "ProcessPoolExecutor")
+            if isinstance(parent, ast.ImportFrom) \
+                    and parent.module in ("concurrent.futures",
+                                          "multiprocessing"):
+                self._pool_names.update(
+                    a.asname or a.name for a in parent.names
+                    if a.name == "ProcessPoolExecutor")
         self.visit(tree)
         return self.diagnostics
 
@@ -168,25 +121,10 @@ class _ConcurrencyVisitor(ast.NodeVisitor):
 
     # -- held-lock regions ---------------------------------------------
     def visit_With(self, node: ast.With) -> None:
-        lockish = [item.context_expr for item in node.items
-                   if _is_lockish(item.context_expr)]
-        keys = []
-        for expr in lockish:
-            try:
-                keys.append(ast.unparse(expr))
-            except Exception:  # pragma: no cover
-                keys.append(ast.dump(expr))
-        if keys and self._lock_stack \
-                and set(keys) - set(self._lock_stack) \
-                and not _allowed(self.module, NESTED_ALLOWED):
-            self._flag(warning(
-                "CC010",
-                f"nested lock acquisition ({self._lock_stack[-1]} -> "
-                f"{keys[0]}) adds an edge to the global lock-order "
-                "discipline",
-                where=self._where(node),
-                hint="exercise this path under REPRO_SYNC_DEBUG=1 so "
-                     "the lock-order graph verifies the ordering"))
+        keys: List[str] = []
+        for item in node.items:
+            if _is_lockish(item.context_expr):
+                keys.append(ast.unparse(item.context_expr))
         self._lock_stack.extend(keys)
         try:
             self.generic_visit(node)
@@ -204,15 +142,6 @@ class _ConcurrencyVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def _check_name_call(self, node: ast.Call, func: ast.Name) -> None:
-        if func.id in self._threading_names \
-                and func.id in _RAW_PRIMITIVES \
-                and not _allowed(self.module, SYNC_ALLOWED):
-            self._flag(error(
-                "CC001",
-                f"raw threading {func.id}() outside repro.runtime.sync",
-                where=self._where(node),
-                hint="use the repro.runtime.sync make_* factories so "
-                     "lock-order tracing sees the primitive"))
         if func.id in self._pool_names \
                 and not any(k.arg == "mp_context"
                             for k in node.keywords):
@@ -221,7 +150,7 @@ class _ConcurrencyVisitor(ast.NodeVisitor):
                 "ProcessPoolExecutor without an explicit mp_context "
                 "(fork-after-thread hazard)",
                 where=self._where(node),
-                hint="pass mp_context=repro.runtime.sync."
+                hint="pass mp_context=repro.eco.parallel."
                      "safe_mp_context()"))
 
     def _check_attribute_call(self, node: ast.Call,
@@ -229,21 +158,8 @@ class _ConcurrencyVisitor(ast.NodeVisitor):
         base = func.value
         base_name = base.id if isinstance(base, ast.Name) else None
 
-        # CC001: raw threading primitives
-        if base_name == "threading" and func.attr in _RAW_PRIMITIVES \
-                and not _allowed(self.module, SYNC_ALLOWED):
-            self._flag(error(
-                "CC001",
-                f"raw threading.{func.attr}() outside "
-                "repro.runtime.sync",
-                where=self._where(node),
-                hint="use repro.runtime.sync.make_lock/make_rlock/"
-                     "make_condition/make_event/make_thread so "
-                     "lock-order tracing sees the primitive"))
-
         # CC002: unprotected explicit acquire
         if func.attr == "acquire" \
-                and not _allowed(self.module, SYNC_ALLOWED) \
                 and not node.args and not node.keywords \
                 and not self._release_protected(node, func):
             self._flag(error(
@@ -267,7 +183,7 @@ class _ConcurrencyVisitor(ast.NodeVisitor):
                     "ProcessPoolExecutor without an explicit "
                     "mp_context (fork-after-thread hazard)",
                     where=self._where(node),
-                    hint="pass mp_context=repro.runtime.sync."
+                    hint="pass mp_context=repro.eco.parallel."
                          "safe_mp_context()"))
             elif base_name == "multiprocessing":
                 self._flag(error(
@@ -276,17 +192,6 @@ class _ConcurrencyVisitor(ast.NodeVisitor):
                     "start method (fork-after-thread hazard)",
                     where=self._where(node),
                     hint="use safe_mp_context().Pool(...) instead"))
-
-        # CC007: interpreter-global switch-interval tuning
-        if base_name == "sys" and func.attr == "setswitchinterval" \
-                and not _allowed(self.module, SWITCH_INTERVAL_ALLOWED):
-            self._flag(error(
-                "CC007",
-                "sys.setswitchinterval() outside the race harness",
-                where=self._where(node),
-                hint="preemption tuning is process-global; only "
-                     "repro.lint.racecheck may change it (and must "
-                     "restore it)"))
 
         # CC009: process-global start-method mutation
         if (base_name == "multiprocessing"
@@ -394,9 +299,9 @@ class _ConcurrencyVisitor(ast.NodeVisitor):
                             "without a lock in a thread-spawning "
                             "module",
                             where=self._where(sub),
-                            hint="guard the write with a sync.make_"
-                                 "lock() (threads may read the old "
-                                 "binding mid-update)"))
+                            hint="guard the write with a lock "
+                                 "(threads may read the old binding "
+                                 "mid-update)"))
 
     def _write_locked(self, node: ast.AST) -> bool:
         cur = self._parents.get(node)
@@ -450,7 +355,7 @@ def lint_concur_source_text(text: str, module: str,
 
     Same contract as
     :func:`repro.lint.pylint_rules.lint_source_text`: ``module`` is
-    the package-root-relative POSIX path the allowlists match against.
+    the package-root-relative POSIX path that names the report.
     """
     report = LintReport(tool="self", subject=module)
     try:
@@ -461,7 +366,7 @@ def lint_concur_source_text(text: str, module: str,
             where=f"{display_path or module}:{exc.lineno or 0}:"
                   f"{(exc.offset or 0)}"))
         return report
-    visitor = _ConcurrencyVisitor(module, display_path or module,
+    visitor = _ConcurrencyVisitor(display_path or module,
                                   _module_spawns_threads(tree))
     report.extend(visitor.analyze(tree))
     return report

@@ -13,6 +13,12 @@ When no trace is requested the engine threads :data:`NULL_TRACE`,
 whose calls are inert — instrumentation costs one attribute lookup
 and one call per site.
 
+All telemetry work happens on the thread that runs the engine: the
+sampler at span boundaries, the live worker bus while the dispatcher
+waits on its workers, and the :class:`TraceSnapshot` publication the
+``--serve-metrics`` endpoint reads.  That endpoint's HTTP threads are
+the only threads this package starts.
+
 Like ``runtime``, this package sits at the bottom of the layering: it
 depends on the standard library only and is driven by ``eco`` and
 ``cli``.
@@ -24,6 +30,7 @@ from repro.obs.trace import (
     NullTrace,
     Span,
     Trace,
+    TraceSnapshot,
     ensure_trace,
 )
 from repro.obs.atomicio import (
@@ -85,6 +92,7 @@ __all__ = [
     "NullTrace",
     "Span",
     "Trace",
+    "TraceSnapshot",
     "ensure_trace",
     "atomic_write_text",
     "detect_torn_tail",

@@ -19,8 +19,10 @@ span history.  This module closes both:
   one at worker start and one final flush at close).  Publishing is
   best-effort: a broken queue (dead supervisor) degrades to silence,
   never to a worker crash.
-* :class:`LiveAggregator` — the supervisor side.  A daemon thread
-  drains the bus, feeds every streamed ``span_close`` into the run's
+* :class:`LiveAggregator` — the supervisor side.  The dispatcher
+  calls its :meth:`~LiveAggregator.pump` on the engine's own thread
+  while it waits for the workers; each pump feeds every streamed
+  ``span_close`` into the run's
   :class:`~repro.obs.metrics.MetricsRegistry` (live latency
   histograms) and buffers the records per worker.  Reconciliation
   against the final graft is exact: a worker that returns normally has
@@ -33,9 +35,7 @@ span history.  This module closes both:
   spend.  Partial telemetry therefore survives ``output.quarantined``
   instead of vanishing.
 
-Stdlib only apart from :mod:`repro.runtime.sync` (itself pure
-stdlib), which supplies the sanctioned thread/lock/event factories so
-the pump thread participates in lock-order tracing.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ from __future__ import annotations
 import queue as _queue
 import time
 from typing import Any, Callable, Dict, List, Optional
-
-from repro.runtime.sync import make_event, make_lock, make_thread
 
 #: queue message kinds
 SPAN_OPEN = "span_open"
@@ -196,10 +194,10 @@ class _WorkerState:
 class LiveAggregator:
     """Supervisor-side consumer of the live bus.
 
-    ``start()`` spawns a daemon thread that drains the bus; ``stop()``
-    joins it and drains the tail.  :meth:`discard` /
-    :meth:`flush_dead` implement the graft reconciliation described in
-    the module docstring.
+    Single-threaded: :meth:`pump` drains whatever is queued and is
+    called by the dispatcher while it waits on the workers.
+    :meth:`discard` / :meth:`flush_dead` implement the graft
+    reconciliation described in the module docstring.
     """
 
     def __init__(self, trace, bus: LiveBus, registry=None,
@@ -211,34 +209,11 @@ class LiveAggregator:
         self._workers: Dict[str, _WorkerState] = {}
         #: workers already reconciled (discarded or flushed): late bus
         #: messages from them must not resurrect a state entry, or a
-        #: racing pump could re-synthesize spans a flush already grafted
+        #: later pump could re-synthesize spans a flush already grafted
         self._finalized: set = set()
-        self._lock = make_lock("live.aggregator")
-        self._stop = make_event("live.stop")
-        self._thread: Optional[Any] = None
-
-    # ------------------------------------------------------------------
-    def start(self) -> "LiveAggregator":
-        self._thread = make_thread(
-            self._run, name="repro-obs-live", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            thread.join(timeout=5.0)
-        self.pump()  # drain whatever arrived during the join
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            message = self.bus.get(timeout=0.05)
-            if message is not None:
-                self._handle(message)
 
     def pump(self) -> int:
-        """Drain everything queued right now (tests + final drain)."""
+        """Drain everything queued right now; returns the count."""
         messages = self.bus.drain()
         for message in messages:
             self._handle(message)
@@ -255,31 +230,30 @@ class LiveAggregator:
     def _handle(self, message: Dict[str, Any]) -> None:
         kind = message.get("kind")
         worker_id = str(message.get("worker"))
-        with self._lock:
-            if worker_id in self._finalized:
-                return
-            state = self._state(worker_id)
-            state.last_seen = self._clock()
-            if kind == SPAN_OPEN:
-                state.open_spans[message["id"]] = message
-            elif kind == SPAN_CLOSE:
-                record = message["record"]
-                state.open_spans.pop(record["id"], None)
-                state.closed.append(record)
-                if self.registry is not None:
-                    self.registry.observe_span(
-                        record["name"], record.get("dur", 0.0),
-                        record.get("tags"))
-            elif kind == HEARTBEAT:
-                state.counters = dict(message.get("counters", {}))
-                if self.registry is not None:
-                    self.registry.gauge(
-                        HEARTBEAT_GAUGE, {"worker": worker_id},
-                        help="monotonic time of each live worker's last "
-                        "heartbeat").set(state.last_seen)
-            elif kind == WORKER_BYE:
-                state.gone = True
-                self._gauge_workers()
+        if worker_id in self._finalized:
+            return
+        state = self._state(worker_id)
+        state.last_seen = self._clock()
+        if kind == SPAN_OPEN:
+            state.open_spans[message["id"]] = message
+        elif kind == SPAN_CLOSE:
+            record = message["record"]
+            state.open_spans.pop(record["id"], None)
+            state.closed.append(record)
+            if self.registry is not None:
+                self.registry.observe_span(
+                    record["name"], record.get("dur", 0.0),
+                    record.get("tags"))
+        elif kind == HEARTBEAT:
+            state.counters = dict(message.get("counters", {}))
+            if self.registry is not None:
+                self.registry.gauge(
+                    HEARTBEAT_GAUGE, {"worker": worker_id},
+                    help="monotonic time of each live worker's last "
+                    "heartbeat").set(state.last_seen)
+        elif kind == WORKER_BYE:
+            state.gone = True
+            self._gauge_workers()
 
     def _gauge_workers(self) -> None:
         if self.registry is not None:
@@ -295,10 +269,9 @@ class LiveAggregator:
         truth, drop the live buffer (the registry already saw every
         closed span exactly once — ``Trace.absorb`` does not re-feed
         it)."""
-        with self._lock:
-            self._workers.pop(worker_id, None)
-            self._finalized.add(worker_id)
-            self._gauge_workers()
+        self._workers.pop(worker_id, None)
+        self._finalized.add(worker_id)
+        self._gauge_workers()
 
     def flush_dead(self, worker_id: str,
                    parent: Optional[int] = None) -> Dict[str, int]:
@@ -310,10 +283,9 @@ class LiveAggregator:
         synthesized with ``partial=True`` and a duration running to the
         worker's last published activity.
         """
-        with self._lock:
-            state = self._workers.pop(worker_id, None)
-            self._finalized.add(worker_id)
-            self._gauge_workers()
+        state = self._workers.pop(worker_id, None)
+        self._finalized.add(worker_id)
+        self._gauge_workers()
         if state is None:
             return {}
         records = list(state.closed)
@@ -343,15 +315,14 @@ class LiveAggregator:
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """Live worker view for ``/healthz``."""
+        """Per-worker view of the live buffers (open/closed spans, age)."""
         now = self._clock()
-        with self._lock:
-            return {
-                worker_id: {
-                    "open_spans": len(state.open_spans),
-                    "closed_spans": len(state.closed),
-                    "age_s": round(now - state.last_seen, 3),
-                    "gone": state.gone,
-                }
-                for worker_id, state in self._workers.items()
+        return {
+            worker_id: {
+                "open_spans": len(state.open_spans),
+                "closed_spans": len(state.closed),
+                "age_s": round(now - state.last_seen, 3),
+                "gone": state.gone,
             }
+            for worker_id, state in self._workers.items()
+        }

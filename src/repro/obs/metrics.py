@@ -20,7 +20,7 @@ maps instrumented phase names onto histogram families
 (:data:`SPAN_HISTOGRAMS` — SAT-call latency, incremental-validation
 latency, candidate screen time, BDD node growth) — and
 :class:`~repro.obs.sampler.RunSampler` syncs ``RunCounters`` deltas
-into counter series on every tick.
+into counter series on every sample.
 
 :func:`render_prometheus` emits the registry in strict exposition
 format — ``# HELP``/``# TYPE`` for every family, histogram
@@ -29,23 +29,21 @@ format — ``# HELP``/``# TYPE`` for every family, histogram
 strict parser (used by the conformance tests, the CI smoke job and the
 ``repro watch`` live dashboard).
 
-Stdlib only apart from :mod:`repro.runtime.sync` (itself pure stdlib),
-which supplies the sanctioned lock factories: every series carries a
-small update lock so concurrent ``inc``/``observe`` calls from worker
-pump threads never lose increments (``x += y`` is not atomic), and
-under ``REPRO_SYNC_DEBUG`` all registry locks join the global
-lock-order graph.
+Stdlib only.  The engine updates a run's registry from its own
+thread, but the registry is public and may be shared across threads
+(the ``/metrics`` endpoint renders it from its HTTP thread), so every
+series carries a small update lock: ``x += y`` is not atomic.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import threading
 from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.export import sanitize_metric_name
-from repro.runtime.sync import make_lock
 
 LabelPairs = Tuple[Tuple[str, str], ...]
 
@@ -83,7 +81,7 @@ class Counter:
         self.name = name
         self.labels = labels
         self.value = 0.0
-        self._lock = make_lock("metrics.series")
+        self._lock = threading.Lock()
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
@@ -108,7 +106,7 @@ class Gauge:
         self.name = name
         self.labels = labels
         self.value = 0.0
-        self._lock = make_lock("metrics.series")
+        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -145,7 +143,7 @@ class Histogram:
         self.bucket_counts = [0] * (len(self.bounds) + 1)  # + overflow
         self.count = 0
         self.sum = 0.0
-        self._lock = make_lock("metrics.series")
+        self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         with self._lock:
@@ -268,7 +266,7 @@ class MetricsRegistry:
     """
 
     def __init__(self):
-        self._lock = make_lock("metrics.registry")
+        self._lock = threading.Lock()
         #: family name -> (kind, help)
         self._families: Dict[str, Tuple[str, str]] = {}
         self._series: Dict[Tuple[str, LabelPairs], Any] = {}

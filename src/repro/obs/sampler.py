@@ -1,41 +1,42 @@
 """In-run telemetry sampling: counter time-series and stall detection.
 
 Span traces attribute *deltas* to phases, but a long phase is a black
-box while it runs.  :class:`RunSampler` fixes that: while the engine
-works, a small daemon thread periodically snapshots the run's
-:class:`~repro.runtime.counters.RunCounters`, the live BDD node count
-(via a supervisor callback) and — when enabled — the ``tracemalloc``
-peak, emitting each snapshot as an ``obs.sample`` event on the trace.
-The result is a *timeline*: BDD-node growth, SAT-conflict spend and
-memory high-water marks over the run, exported and summarized like any
-other trace content and persisted per run by
+box while it runs.  :class:`RunSampler` fixes that: it snapshots the
+run's :class:`~repro.runtime.counters.RunCounters`, the live BDD node
+count (via a supervisor callback) and — when enabled — the
+``tracemalloc`` peak, emitting each snapshot as an ``obs.sample``
+event on the trace.  The result is a *timeline*: BDD-node growth,
+SAT-conflict spend and memory high-water marks over the run, exported
+and summarized like any other trace content and persisted per run by
 :mod:`repro.obs.store`.
 
-Each tick doubles as a supervisor heartbeat with a **stall detector**:
-the tracer bumps a monotone ``progress`` counter on every span open /
-finish; when no span progresses within ``stall_window_s`` the sampler
-emits a single ``run.stalled`` event carrying the idle time and a
-degradation hint (``--deadline`` / ``--total-sat-budget``), and re-arms
-once progress resumes.
+The sampler starts no thread.  While it runs it is the trace's span
+listener, so every span open and finish is a *boundary* on the thread
+running the engine; a boundary takes a sample once ``interval_s`` has
+passed on the trace clock since the previous one.  Each sample also
+publishes the trace's :class:`~repro.obs.trace.TraceSnapshot`, the
+view the ``--serve-metrics`` endpoint reads.  Under a deterministic
+clock the sample sequence is deterministic too.
+
+Every boundary runs the **stall detector**: when the gap since the
+previous span activity reaches ``stall_window_s``, the sampler emits
+one ``run.stalled`` event carrying the measured idle time and a
+degradation hint (``--deadline`` / ``--total-sat-budget``).  Without
+a thread the event lands when the run moves again; a live verdict
+during the stall comes from ``/healthz``, which compares the published
+snapshot's last-progress time with the window.
 
 When tracing is disabled the engine never constructs a sampler at all
-(the ``NULL_TRACE`` no-op path allocates nothing and starts no
-thread); with tracing on but ``interval_s=0`` the sampler degrades to
-two deterministic snapshots — one at :meth:`start`, one at
-:meth:`stop` — so every traced run still gets a (short) timeline.
-
-Stdlib only apart from :mod:`repro.runtime.sync` (itself pure
-stdlib), which supplies the sanctioned thread/event factories so the
-tick thread participates in lock-order tracing.
+(the ``NULL_TRACE`` no-op path allocates nothing); with tracing on but
+``interval_s=0`` the sampler takes two snapshots — one at
+:meth:`start`, one at :meth:`stop` — so every traced run still gets a
+(short) timeline.
 """
 
 from __future__ import annotations
 
-import time
 import tracemalloc
 from typing import Any, Callable, Dict, Optional
-
-from repro.runtime.sync import make_event, make_thread
 
 #: event kinds emitted by the sampler
 SAMPLE_EVENT = "obs.sample"
@@ -46,7 +47,7 @@ STALL_HINT = ("no span progress; consider --deadline / "
 
 
 class RunSampler:
-    """Periodic telemetry snapshots of one run, written to its trace.
+    """Telemetry snapshots of one run, taken at span boundaries.
 
     Args:
         trace: the run's :class:`~repro.obs.trace.Trace`.  Callers must
@@ -57,13 +58,13 @@ class RunSampler:
         bdd_stats: zero-argument callable returning a dict of live BDD
             statistics (the run supervisor's ``live_bdd_stats``);
             cumulative, so sampled node counts are non-decreasing.
-        interval_s: seconds between samples; ``0`` disables the thread
-            (only the start/stop snapshots are taken).
+        interval_s: minimum seconds between boundary samples; ``0``
+            keeps only the start/stop snapshots.
         stall_window_s: span-progress silence that counts as a stall.
         gauge_hook: optional callable invoked with the trace's metrics
             registry on every sample — the run supervisor publishes
             its budget/quarantine heartbeat gauges through this.
-        clock: monotonic time source (injectable for tests).
+        clock: time source; the trace's own clock by default.
         trace_malloc: start ``tracemalloc`` for the duration of the run
             and record the traced-memory peak per sample (KiB).  When
             False, the peak is still recorded if the caller already has
@@ -75,7 +76,7 @@ class RunSampler:
                  interval_s: float = 0.05,
                  stall_window_s: float = 30.0,
                  gauge_hook: Optional[Callable[[Any], None]] = None,
-                 clock: Callable[[], float] = time.monotonic,
+                 clock: Optional[Callable[[], float]] = None,
                  trace_malloc: bool = False):
         self.trace = trace
         self.counters = counters
@@ -83,42 +84,36 @@ class RunSampler:
         self.gauge_hook = gauge_hook
         self.interval_s = max(0.0, float(interval_s))
         self.stall_window_s = float(stall_window_s)
-        self._clock = clock
+        self._clock = clock if clock is not None else trace.clock
         self._trace_malloc = trace_malloc
         self._started_malloc = False
         self._seq = 0
         self._stalled = False
-        self._last_progress = -1
-        self._last_change = clock()
-        self._stop = make_event("sampler.stop")
-        self._thread: Optional[Any] = None
+        self._last_progress = trace.progress
+        self._last_change = self._last_sample = self._clock()
+        #: the trace listener the sampler forwards to while bound
+        self._inner: Optional[Any] = None
 
     # ------------------------------------------------------------------
     def start(self) -> "RunSampler":
-        """Take the initial sample and start the tick thread (if any)."""
+        """Take the initial sample and bind to the trace's boundaries."""
         if self._trace_malloc and not tracemalloc.is_tracing():
             tracemalloc.start()
             self._started_malloc = True
+        self._last_progress = self.trace.progress
         self._last_change = self._clock()
         self.sample()
-        if self.interval_s > 0:
-            self._thread = make_thread(
-                self._run, name="repro-obs-sampler", daemon=True)
-            self._thread.start()
+        self._inner, self.trace.listener = self.trace.listener, self
         return self
 
     def stop(self) -> None:
-        """Stop the tick thread and take the final sample.
+        """Unbind from the trace and take the final sample.
 
-        Join-first and exception-safe: the thread is always signalled
-        and joined (and ``tracemalloc`` always stopped) even when the
-        final sample raises — a failing trace exporter must not leave
-        the daemon thread ticking into the next run.
+        Exception-safe: the previous listener is restored and
+        ``tracemalloc`` stopped even when the final sample raises.
         """
-        self._stop.set()
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            thread.join(timeout=5.0)
+        if self.trace.listener is self:
+            self.trace.listener = self._inner
         try:
             self.sample()
         finally:
@@ -133,25 +128,40 @@ class RunSampler:
         self.stop()
         return False
 
-    # ------------------------------------------------------------------
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            self.tick()
+    # -- trace listener protocol ----------------------------------------
+    def span_open(self, span) -> None:
+        if self._inner is not None:
+            self._inner.span_open(span)
+        self._boundary()
 
+    def span_close(self, span) -> None:
+        if self._inner is not None:
+            self._inner.span_close(span)
+        self._boundary()
+
+    def _boundary(self) -> None:
+        now = self._clock()
+        self._check_stall(now)
+        if self.interval_s > 0 and now - self._last_sample \
+                >= self.interval_s:
+            self.sample()
+
+    # ------------------------------------------------------------------
     def tick(self) -> None:
-        """One heartbeat: snapshot plus stall check (thread + tests)."""
+        """One forced heartbeat: snapshot plus stall check."""
         self.sample()
-        self._check_stall()
+        self._check_stall(self._clock())
 
     def sample(self) -> None:
-        """Emit one ``obs.sample`` event with the current telemetry.
+        """Emit one ``obs.sample`` event and publish the trace snapshot.
 
         When the trace carries a
-        :class:`~repro.obs.metrics.MetricsRegistry`, each tick also
+        :class:`~repro.obs.metrics.MetricsRegistry`, each sample also
         syncs the monotone counter totals into labeled counter series
         and the live BDD/progress values into gauges, so ``/metrics``
         scrapes see the same timeline the trace records.
         """
+        self._last_sample = self._clock()
         self._seq += 1
         tags: Dict[str, Any] = {"seq": self._seq}
         if self.counters is not None:
@@ -164,8 +174,9 @@ class RunSampler:
             current, peak = tracemalloc.get_traced_memory()
             tags["mem_kib"] = current // 1024
             tags["mem_peak_kib"] = peak // 1024
-        self._emit(SAMPLE_EVENT, tags)
+        self.trace.event(SAMPLE_EVENT, **tags)
         self._sync_registry(tags)
+        self.trace.publish(self.stall_window_s)
 
     def _sync_registry(self, tags: Dict[str, Any]) -> None:
         registry = getattr(self.trace, "metrics", None)
@@ -180,7 +191,7 @@ class RunSampler:
         if self.gauge_hook is not None:
             try:
                 self.gauge_hook(registry)
-            except Exception:  # a gauge must never take the tick down
+            except Exception:  # a gauge must never take the sample down
                 pass
         if "mem_peak_kib" in tags:
             registry.gauge("repro_mem_peak_kib",
@@ -189,30 +200,29 @@ class RunSampler:
         registry.gauge("repro_trace_progress",
                        help="monotone span-activity counter"
                        ).set(self.trace.progress)
+        self._stall_gauge(int(self._stalled))
 
-    def _check_stall(self) -> None:
-        now = self._clock()
-        progress = self.trace.progress
-        if progress != self._last_progress:
-            self._last_progress = progress
-            self._last_change = now
-            self._stalled = False  # re-arm once the run moves again
-            self._stall_gauge(0)
-            return
+    def _check_stall(self, now: float) -> None:
         idle = now - self._last_change
         if idle >= self.stall_window_s and not self._stalled:
             self._stalled = True
             self._stall_gauge(1)
-            self._emit(STALL_EVENT, {
-                "idle_s": round(idle, 3),
-                "window_s": self.stall_window_s,
-                "progress": progress,
-                "hint": STALL_HINT,
-            })
+            self.trace.event(STALL_EVENT,
+                             idle_s=round(idle, 3),
+                             window_s=self.stall_window_s,
+                             progress=self.trace.progress,
+                             hint=STALL_HINT)
+        progress = self.trace.progress
+        if progress != self._last_progress:
+            self._last_progress = progress
+            self._last_change = now
+            if self._stalled:  # re-arm once the run moves again
+                self._stalled = False
+                self._stall_gauge(0)
 
     @property
     def stalled(self) -> bool:
-        """Current stall verdict (``/healthz`` reads this)."""
+        """True from a detected stall until the next span activity."""
         return self._stalled
 
     def _stall_gauge(self, value: int) -> None:
@@ -222,18 +232,10 @@ class RunSampler:
                            help="1 while the stall detector is tripped"
                            ).set(value)
 
-    def _emit(self, name: str, tags: Dict[str, Any]) -> None:
-        # the tick thread races the engine's span stack; losing one
-        # sample to a concurrent pop is fine, corrupting the run is not
-        try:
-            self.trace.event(name, **tags)
-        except (IndexError, RuntimeError):
-            pass
-
 
 def maybe_sampler(trace, **kwargs) -> Optional[RunSampler]:
-    """A sampler for an enabled trace; ``None`` (no allocation, no
-    thread) when tracing is off."""
+    """A sampler for an enabled trace; ``None`` (no allocation) when
+    tracing is off."""
     if not getattr(trace, "enabled", False):
         return None
     return RunSampler(trace, **kwargs)

@@ -11,8 +11,18 @@ duration of a run, serving
   exporter derives from the trace;
 * ``GET /healthz`` — a JSON liveness document: run name and phase
   (the open span stack), the tracer's monotone progress counter, the
-  stall verdict from the PR 4 detector, plus anything the caller's
-  ``health_provider`` contributes (outputs completed, live workers).
+  idle time since the last span activity and the stall verdict, plus
+  anything the caller's ``health_provider`` contributes.
+
+The endpoint's threads are the only ones the program starts, and they
+never read the live span stack.  Both payloads come from the trace's
+published :class:`~repro.obs.trace.TraceSnapshot`, which the engine's
+thread replaces whole at each sample point, and from the finished
+spans and events that snapshot counts (append-only list prefixes).
+The run is ``stalled`` while a phase is open and the time since the
+snapshot's last progress reaches the sampler's ``stall_window_s``,
+which the snapshot carries; it reads ``ok`` again as soon as a later
+snapshot shows progress.
 
 Port ``0`` binds an ephemeral port (tests, parallel CI); the bound
 port is on :attr:`MetricsServer.port` and in the startup log line.
@@ -23,20 +33,17 @@ Shutdown is idempotent and leak-free: ``stop()`` may be called any
 number of times, closes the listening socket even when joining the
 serve thread raises mid-run, and the request threads are daemons — so
 two sequential runs can bind the same port.
-
-Stdlib only apart from :mod:`repro.runtime.sync` (itself pure
-stdlib), which supplies the sanctioned thread factory.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry, render_prometheus
-from repro.runtime.sync import make_thread
 
 logger = logging.getLogger("repro.obs")
 
@@ -105,8 +112,8 @@ class MetricsServer:
 
     # ------------------------------------------------------------------
     def start(self) -> "MetricsServer":
-        self._thread = make_thread(
-            self._server.serve_forever,
+        self._thread = threading.Thread(
+            target=self._server.serve_forever,
             kwargs={"poll_interval": 0.1},
             name="repro-obs-serve", daemon=True)
         self._thread.start()
@@ -145,29 +152,31 @@ class MetricsServer:
         return f"http://{self.host}:{self.port}"
 
     # ------------------------------------------------------------------
+    def _served_trace(self):
+        trace = self.trace
+        return trace if getattr(trace, "enabled", False) else None
+
     def metrics_text(self) -> str:
-        if self.trace is not None and getattr(self.trace, "enabled",
-                                              False):
-            from repro.obs.export import prometheus_text
-            try:
-                return prometheus_text(self.trace,
-                                       registry=self.registry)
-            except Exception:  # scrape must survive a mid-run race
-                logger.debug("phase snapshot unavailable mid-run",
-                             exc_info=True)
-        return render_prometheus(self.registry)
+        trace = self._served_trace()
+        if trace is None:
+            return render_prometheus(self.registry)
+        from repro.obs.export import prometheus_text
+        return prometheus_text(trace.records(upto=trace.snapshot),
+                               registry=self.registry)
 
     def health(self) -> Dict[str, Any]:
         doc: Dict[str, Any] = {"status": "ok"}
-        trace = self.trace
-        if trace is not None and getattr(trace, "enabled", False):
-            doc["run"] = trace.name
-            doc["progress"] = trace.progress
-            stack = getattr(trace, "_stack", [])
-            doc["phase"] = [sp.name for sp in stack]
-            doc["spans_finished"] = len(trace.spans)
-            stalled = any(e.name == "run.stalled" for e in trace.events)
-            doc["stalled"] = stalled
+        trace = self._served_trace()
+        if trace is not None:
+            snap = trace.snapshot
+            idle = trace.now() - snap.last_progress_t
+            window = snap.stall_window_s
+            stalled = (window is not None and bool(snap.phase)
+                       and idle >= window)
+            doc.update(run=trace.name, progress=snap.progress,
+                       phase=list(snap.phase),
+                       spans_finished=snap.spans,
+                       idle_s=round(idle, 3), stalled=stalled)
             if stalled:
                 doc["status"] = "stalled"
         if self.health_provider is not None:

@@ -30,6 +30,7 @@ import json
 import logging
 import os
 import subprocess
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -321,9 +322,7 @@ class RunStore:
         self.index_path = os.path.join(root, "index.json")
         #: unparsable record lines skipped by the last load
         self.skipped = 0
-        # lazy: obs sits below runtime, but sync is pure stdlib
-        from repro.runtime.sync import make_lock
-        self._publish_lock = make_lock("store.publish")
+        self._publish_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def publish(self, record: RunRecord) -> str:

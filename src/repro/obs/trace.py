@@ -27,6 +27,12 @@ singleton whose ``span``/``event`` calls return a shared inert object,
 so the instrumented hot paths pay one attribute lookup and one call,
 nothing else.
 
+A trace is written by one thread, the one running the engine.  Readers
+on other threads (the ``--serve-metrics`` endpoint) see only
+:attr:`Trace.snapshot`, which the writer replaces whole at each sample
+point, plus the prefixes of the append-only ``spans`` and ``events``
+lists that the snapshot counts.
+
 The module depends on nothing but the standard library; ``runtime``
 and ``eco`` sit above it.
 """
@@ -34,7 +40,7 @@ and ``eco`` sit above it.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 
 class Span:
@@ -106,6 +112,27 @@ class Event:
         self.tags = tags
 
 
+class TraceSnapshot(NamedTuple):
+    """The run's state as of its last sample point.
+
+    Immutable and replaced whole by :meth:`Trace.publish`, so another
+    thread reads a consistent view with one attribute load.  ``spans``
+    and ``events`` count the finished spans and events at publication;
+    those list prefixes never change afterwards.
+    """
+
+    #: names of the open spans, outermost first
+    phase: Tuple[str, ...] = ()
+    progress: int = 0
+    #: trace time (seconds since the epoch) of the last span open/finish
+    last_progress_t: float = 0.0
+    spans: int = 0
+    events: int = 0
+    #: idle time that counts as a stall (the sampler's window); ``None``
+    #: when no stall detector runs
+    stall_window_s: Optional[float] = None
+
+
 class Trace:
     """Collects the spans and events of one rectification run.
 
@@ -125,7 +152,7 @@ class Trace:
                  clock: Callable[[], float] = time.monotonic,
                  metrics=None):
         self.name = name
-        self._clock = clock
+        self.clock = clock
         self.epoch = clock()
         #: bound MetricsRegistry or None
         self.metrics = metrics
@@ -143,6 +170,10 @@ class Trace:
         #: finish); the sampler's stall detector watches it to tell a
         #: long-running span from a wedged run
         self.progress = 0
+        #: trace time of the latest progress bump
+        self.last_progress_t = 0.0
+        #: the state as of the last :meth:`publish`
+        self.snapshot = TraceSnapshot()
         self._stack: List[Span] = []
         self._counters = None
         self._next_id = 1
@@ -158,10 +189,12 @@ class Trace:
         parent = self._stack[-1].span_id if self._stack else None
         snapshot = (self._counters.as_dict()
                     if self._counters is not None else None)
-        sp = Span(self, self._next_id, parent, name, dict(tags),
-                  self._clock() - self.epoch, snapshot)
+        t = self.now()
+        sp = Span(self, self._next_id, parent, name, dict(tags), t,
+                  snapshot)
         self._next_id += 1
         self.progress += 1
+        self.last_progress_t = t
         self._stack.append(sp)
         if self.listener is not None:
             self.listener.span_open(sp)
@@ -170,10 +203,30 @@ class Trace:
     def event(self, name: str, **tags: Any) -> None:
         parent = self._stack[-1].span_id if self._stack else None
         self.events.append(
-            Event(name, self._clock() - self.epoch, parent, dict(tags)))
+            Event(name, self.now(), parent, dict(tags)))
+
+    def now(self) -> float:
+        """Seconds since the trace's epoch, on the trace clock."""
+        return self.clock() - self.epoch
+
+    def publish(self, stall_window_s: Optional[float] = None
+                ) -> TraceSnapshot:
+        """Replace :attr:`snapshot` with the current state.
+
+        Called on the writing thread only; the single attribute store
+        is what makes the snapshot safe to read from another thread.
+        """
+        self.snapshot = TraceSnapshot(
+            phase=tuple(sp.name for sp in self._stack),
+            progress=self.progress,
+            last_progress_t=self.last_progress_t,
+            spans=len(self.spans),
+            events=len(self.events),
+            stall_window_s=stall_window_s)
+        return self.snapshot
 
     def _finish(self, span: Span) -> None:
-        span.t_end = self._clock() - self.epoch
+        span.t_end = self.now()
         if span._snapshot is not None and self._counters is not None:
             now = self._counters.as_dict()
             before = span._snapshot
@@ -185,6 +238,7 @@ class Trace:
         except ValueError:
             pass
         self.progress += 1
+        self.last_progress_t = span.t_end
         self.spans.append(span)
         if self.metrics is not None:
             self.metrics.observe_span(span.name, span.duration, span.tags)
@@ -228,6 +282,7 @@ class Trace:
                     dict(rec.get("tags", {}))))
         self._next_id = base + max_id + 1
         self.progress += 1
+        self.last_progress_t = self.now()
 
     # ------------------------------------------------------------------
     @property
@@ -236,17 +291,23 @@ class Trace:
         return max((s.t_end for s in self.spans if s.t_end is not None),
                    default=0.0)
 
-    def records(self) -> List[Dict[str, Any]]:
+    def records(self, upto: Optional[TraceSnapshot] = None
+                ) -> List[Dict[str, Any]]:
         """The trace as plain serializable records.
 
         One ``meta`` record, then every finished span (start order) and
         every event, merged in timestamp order.  This is the canonical
         interchange form: the exporters serialize it and the summary
         renderer consumes it (from a live trace or re-loaded file).
+        With ``upto``, only the spans and events that snapshot counts
+        are included — the form a reader on another thread may use.
         """
+        spans, events = self.spans, self.events
+        if upto is not None:
+            spans, events = spans[:upto.spans], events[:upto.events]
         out: List[Dict[str, Any]] = [dict(self.meta, type="meta")]
         items: List[Dict[str, Any]] = []
-        for s in self.spans:
+        for s in spans:
             items.append({
                 "type": "span",
                 "id": s.span_id,
@@ -257,7 +318,7 @@ class Trace:
                 "tags": dict(s.tags),
                 "counters": dict(s.counters),
             })
-        for e in self.events:
+        for e in events:
             items.append({
                 "type": "event",
                 "name": e.name,

@@ -14,10 +14,10 @@ supervision & failure handling"):
   sites, making every degradation branch unit-testable;
 * :class:`RetryPolicy` — exponential backoff with deterministic jitter
   for the supervised worker pool;
-* :class:`RunCounters` — typed per-run telemetry;
-* :mod:`repro.runtime.sync` — the sanctioned sync-primitive factories
-  (``make_lock`` & co.) with optional lock-order tracing, deadlock
-  detection and per-lock wait histograms.
+* :class:`RunCounters` — typed per-run telemetry.
+
+Nothing here starts a thread: a run is supervised on the thread that
+runs it, and its parallel search uses worker processes.
 
 Only :mod:`repro.errors` is depended on; the package sits at the bottom
 of the layering next to ``netlist`` / ``bdd`` / ``sat``.
@@ -45,23 +45,6 @@ from repro.runtime.faultinject import (
     SITE_WORKER,
 )
 from repro.runtime.retry import RetryPolicy
-from repro.runtime.sync import (
-    LockOrderEdge,
-    LockOrderViolation,
-    SITE_SYNC,
-    disable_sync_debug,
-    enable_sync_debug,
-    make_condition,
-    make_event,
-    make_lock,
-    make_rlock,
-    make_thread,
-    safe_mp_context,
-    set_sync_registry,
-    sync_debug_enabled,
-    sync_graph,
-    sync_violations,
-)
 from repro.runtime.supervisor import RunSupervisor
 
 __all__ = [
@@ -76,20 +59,6 @@ __all__ = [
     "MonotonicClock",
     "RetryPolicy",
     "RunSupervisor",
-    "LockOrderEdge",
-    "LockOrderViolation",
-    "disable_sync_debug",
-    "enable_sync_debug",
-    "make_condition",
-    "make_event",
-    "make_lock",
-    "make_rlock",
-    "make_thread",
-    "safe_mp_context",
-    "set_sync_registry",
-    "sync_debug_enabled",
-    "sync_graph",
-    "sync_violations",
     "FAULT_CRASH",
     "FAULT_EXHAUST",
     "FAULT_KILL",
@@ -99,6 +68,5 @@ __all__ = [
     "SITE_CLOCK",
     "SITE_JOURNAL",
     "SITE_SAT",
-    "SITE_SYNC",
     "SITE_WORKER",
 ]

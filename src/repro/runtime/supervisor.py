@@ -34,7 +34,6 @@ from repro.runtime.faultinject import (
     SITE_BDD,
     SITE_SAT,
 )
-from repro.runtime.sync import make_rlock
 
 logger = logging.getLogger("repro.runtime")
 
@@ -81,10 +80,6 @@ class RunSupervisor:
         # escalation policy's totals are reported on top of these
         self._merged_escalations = 0
         self._merged_deescalations = 0
-        # guards the degradation/quarantine/absorb state, which the
-        # main loop and aggregator-driven paths can reach concurrently;
-        # reentrant because absorb_worker may call mark_degraded
-        self._state_lock = make_rlock("supervisor.state")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -129,11 +124,10 @@ class RunSupervisor:
         self.budget.check_deadline()
 
     def mark_degraded(self, reason: str) -> None:
-        with self._state_lock:
-            if self.degraded:
-                return
-            self.degraded = True
-            self.degrade_reason = reason
+        if self.degraded:
+            return
+        self.degraded = True
+        self.degrade_reason = reason
         self.trace.event("run.degraded", reason=reason)
         logger.warning("run degraded: %s", reason)
 
@@ -146,11 +140,10 @@ class RunSupervisor:
         still reported degraded (a fallback forced by infrastructure
         failure, not by the search).
         """
-        with self._state_lock:
-            if port in self.quarantined:
-                return
-            self.quarantined[port] = reason
-            self.counters.outputs_quarantined += 1
+        if port in self.quarantined:
+            return
+        self.quarantined[port] = reason
+        self.counters.outputs_quarantined += 1
         self.trace.event("output.quarantined", port=port, reason=reason)
         logger.warning("output %s quarantined: %s", port, reason)
 
@@ -207,10 +200,9 @@ class RunSupervisor:
         current node count of every open manager; node stores never
         shrink and close_bdd moves a session's count into
         ``bdd_nodes_spent``, so the sampled series is monotonically
-        non-decreasing.  Called from the sampler thread — it only reads
-        a snapshot of the list.
+        non-decreasing.
         """
-        live = sum(m.num_nodes for m in tuple(self._live_bdd))
+        live = sum(m.num_nodes for m in self._live_bdd)
         return {
             "bdd_nodes": self.counters.bdd_nodes_spent + live,
             "bdd_sessions": self.counters.bdd_sessions,
@@ -366,38 +358,35 @@ class RunSupervisor:
         Adds every counter (escalation totals go through the merged
         base so later local assignments do not clobber them), charges
         the worker's actual SAT/BDD spend to the aggregate budget, and
-        propagates degradation.  Serialized under the supervisor state
-        lock: two worker results absorbed concurrently must not tear
-        the counter read-modify-writes.
+        propagates degradation.
         """
-        with self._state_lock:
-            for name, value in counters.items():
-                if name not in self.counters or not value:
-                    continue
-                if name == "sat_escalations":
-                    self._merged_escalations += value
-                elif name == "sat_deescalations":
-                    self._merged_deescalations += value
-                else:
-                    setattr(self.counters, name,
-                            getattr(self.counters, name) + value)
-            self.counters.sat_escalations = (
-                self._merged_escalations + self.escalation.escalations)
-            self.counters.sat_deescalations = (
-                self._merged_deescalations + self.escalation.deescalations)
-            self.budget.charge_sat(counters.get("sat_conflicts_spent", 0))
-            self.budget.charge_bdd(counters.get("bdd_nodes_spent", 0))
-            self.counters.parallel_workers += 1
-            if degraded:
-                self.mark_degraded(degrade_reason or "worker degraded")
+        for name, value in counters.items():
+            if name not in self.counters or not value:
+                continue
+            if name == "sat_escalations":
+                self._merged_escalations += value
+            elif name == "sat_deescalations":
+                self._merged_deescalations += value
+            else:
+                setattr(self.counters, name,
+                        getattr(self.counters, name) + value)
+        self.counters.sat_escalations = (
+            self._merged_escalations + self.escalation.escalations)
+        self.counters.sat_deescalations = (
+            self._merged_deescalations + self.escalation.deescalations)
+        self.budget.charge_sat(counters.get("sat_conflicts_spent", 0))
+        self.budget.charge_bdd(counters.get("bdd_nodes_spent", 0))
+        self.counters.parallel_workers += 1
+        if degraded:
+            self.mark_degraded(degrade_reason or "worker degraded")
 
     # ------------------------------------------------------------------
     def publish_gauges(self, registry) -> None:
         """Heartbeat → gauge: budget and health state for ``/metrics``.
 
-        Called by the sampler on every tick (and safe to call ad hoc);
+        Called by the sampler on every sample (and safe to call ad hoc);
         each gauge reads one already-maintained field, so the cost is a
-        few dict lookups per tick.
+        few dict lookups per sample.
         """
         if registry is None:
             return

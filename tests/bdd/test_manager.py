@@ -1,6 +1,8 @@
 """Unit and property tests for the ROBDD manager."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,6 +200,45 @@ class TestEvaluateAndCount:
         assert m4.evaluate(c, {0: True, 1: False, 2: False, 3: False})
         assert not m4.evaluate(c, {0: True, 1: False, 2: True, 3: False})
         assert m4.cube({}) == TRUE
+
+
+class TestNoClosureCycles:
+    """Counting and cube enumeration leave no reference cycle behind:
+    the manager dies with its last reference even with ``gc`` off."""
+
+    @staticmethod
+    def freed_after(call) -> bool:
+        m = BddManager(4)
+        f = m.or_(m.and_(m.var(0), m.var(1)), m.xor(m.var(2), m.var(3)))
+        call(m, f)
+        ref = weakref.ref(m)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del m, f
+            return ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_baseline_manager_is_freed(self):
+        assert self.freed_after(lambda m, f: None)
+
+    def test_satcount(self):
+        assert self.freed_after(lambda m, f: m.satcount(f))
+
+    def test_sat_cubes_exhausted(self):
+        assert self.freed_after(lambda m, f: list(m.sat_cubes(f)))
+
+    def test_sat_cubes_abandoned(self):
+        assert self.freed_after(lambda m, f: next(m.sat_cubes(f)))
+
+    def test_satcount_error_path(self, m4):
+        with pytest.raises(BddError):
+            m4.satcount(m4.var(3), num_vars=2)
+        assert self.freed_after(
+            lambda m, f: pytest.raises(BddError, m.satcount, m.var(3),
+                                       num_vars=2))
 
 
 class TestQuantification:

@@ -9,7 +9,8 @@ and supervised-pool machinery exists for:
 * a worker killed at dispatch (``SITE_WORKER``) is retried with
   backoff (``task.retried``); a partition that keeps killing its
   worker is quarantined and the run degrades but still verifies;
-* the telemetry sampler thread never outlives a crashed run.
+* a crashed run leaves no thread behind and no sampler bound to its
+  trace.
 
 Everything is driven through the public ``rectify`` API with a real
 Table-1 workload plus small synthetic multi-bug circuits.
@@ -308,10 +309,12 @@ class TestSamplerTeardownUnderChaos:
         injector = FaultInjector().arm(SITE_JOURNAL, 3,
                                        payload=FAULT_CRASH)
         journal = RunJournal("leak", store_root=str(tmp_path / "store"))
+        trace = Trace(name="chaos")
+        before = set(threading.enumerate())
         with pytest.raises(InjectedCrash):
             rectify(impl, spec,
                     EcoConfig(num_samples=8, sample_interval_s=0.001),
-                    injector=injector, trace=Trace(name="chaos"),
-                    journal=journal)
-        assert not [t for t in threading.enumerate()
-                    if t.name == "repro-obs-sampler"]
+                    injector=injector, trace=trace, journal=journal)
+        # no thread at all: the sampler runs on the crashing thread
+        assert set(threading.enumerate()) <= before
+        assert trace.listener is None   # and unbound itself on the way out

@@ -16,7 +16,11 @@ from repro.obs.trace import Trace
 from repro.runtime.supervisor import RunSupervisor
 from repro.eco.config import EcoConfig
 from repro.eco.engine import rectify
-from repro.eco.parallel import parallel_verify, partition_targets
+from repro.eco.parallel import (
+    parallel_verify,
+    partition_targets,
+    safe_mp_context,
+)
 
 
 def multi_bug_circuits(k=4):
@@ -262,3 +266,24 @@ class TestProcessPoolSearch:
         # the pool may be unavailable in restricted sandboxes, in which
         # case the engine falls back to the sequential loop
         assert result.counters.parallel_workers in (0, 2)
+
+
+class TestSafeMpContext:
+    def test_returns_context_with_pool_support(self):
+        ctx = safe_mp_context()
+        assert ctx.get_start_method() in ("fork", "spawn", "forkserver")
+
+    def test_spawn_when_threads_alive(self):
+        import multiprocessing
+        import threading
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("platform has no fork")
+        stop = threading.Event()
+        t = threading.Thread(target=stop.wait, kwargs={"timeout": 10.0},
+                             name="mp-probe", daemon=True)
+        t.start()
+        try:
+            assert safe_mp_context().get_start_method() != "fork"
+        finally:
+            stop.set()
+            t.join(timeout=5.0)

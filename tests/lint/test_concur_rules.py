@@ -10,38 +10,6 @@ def codes(text, module="repro/somemod.py"):
     return [d.code for d in report.diagnostics]
 
 
-class TestCC001RawPrimitives:
-    def test_threading_attribute_ctor(self):
-        assert codes("""
-            import threading
-            lock = threading.Lock()
-        """) == ["CC001"]
-
-    def test_from_import_ctor(self):
-        assert codes("""
-            from threading import RLock
-            lock = RLock()
-        """) == ["CC001"]
-
-    def test_thread_ctor_flagged(self):
-        assert "CC001" in codes("""
-            import threading
-            t = threading.Thread(target=print)
-        """)
-
-    def test_sync_module_exempt(self):
-        assert codes("""
-            import threading
-            lock = threading.Lock()
-        """, module="repro/runtime/sync.py") == []
-
-    def test_sanctioned_factories_clean(self):
-        assert codes("""
-            from repro.runtime.sync import make_lock
-            lock = make_lock("x")
-        """) == []
-
-
 class TestCC002BareAcquire:
     def test_unprotected_acquire(self):
         assert "CC002" in codes("""
@@ -106,7 +74,7 @@ class TestCC005PoolContext:
     def test_ppe_with_context_ok(self):
         assert "CC005" not in codes("""
             from concurrent.futures import ProcessPoolExecutor
-            from repro.runtime.sync import safe_mp_context
+            from repro.eco.parallel import safe_mp_context
             pool = ProcessPoolExecutor(max_workers=2,
                                        mp_context=safe_mp_context())
         """)
@@ -118,18 +86,39 @@ class TestCC005PoolContext:
         """)
 
 
-class TestCC007SwitchInterval:
-    def test_flagged_outside_harness(self):
-        assert "CC007" in codes("""
-            import sys
-            sys.setswitchinterval(1e-5)
+class TestCC006ThreadLifecycle:
+    def test_class_without_join_flagged(self):
+        assert "CC006" in codes("""
+            import threading
+            class Server:
+                def start(self):
+                    self.t = threading.Thread(target=print)
+                    self.t.start()
         """)
 
-    def test_racecheck_exempt(self):
-        assert "CC007" not in codes("""
-            import sys
-            sys.setswitchinterval(1e-5)
-        """, module="repro/lint/racecheck.py")
+    def test_class_joining_on_stop_ok(self):
+        assert "CC006" not in codes("""
+            import threading
+            class Server:
+                def start(self):
+                    self.t = threading.Thread(target=print)
+                    self.t.start()
+                def stop(self):
+                    self.t.join(timeout=5.0)
+        """)
+
+    def test_unowned_start_flagged(self):
+        assert "CC006" in codes("""
+            from threading import Thread
+            Thread(target=print).start()
+        """)
+
+    def test_raw_primitives_allowed(self):
+        # the make_* factory rule went with the sync-tracing runtime
+        assert codes("""
+            import threading
+            lock = threading.Lock()
+        """) == []
 
 
 class TestCC008UnboundedJoin:
@@ -166,35 +155,6 @@ class TestCC009StartMethod:
             import os
             os.fork()
         """)
-
-
-class TestCC010NestingAdvisory:
-    def test_nested_distinct_locks_warn(self):
-        report = lint_concur_source_text(textwrap.dedent("""
-            def f(a_lock, b_lock):
-                with a_lock:
-                    with b_lock:
-                        pass
-        """), "repro/somemod.py")
-        assert [d.code for d in report.diagnostics] == ["CC010"]
-        # advisory: the report still passes
-        assert report.ok
-
-    def test_same_lock_no_warn(self):
-        assert codes("""
-            def f(a_lock):
-                with a_lock:
-                    with a_lock:
-                        pass
-        """) == []
-
-    def test_racecheck_exempt(self):
-        assert codes("""
-            def f(a_lock, b_lock):
-                with a_lock:
-                    with b_lock:
-                        pass
-        """, module="repro/lint/racecheck.py") == []
 
 
 class TestPlumbing:

@@ -8,6 +8,7 @@ equal to ``_count``).
 """
 
 import math
+import threading
 
 import pytest
 
@@ -331,8 +332,6 @@ class TestConcurrentRegistry:
     lose an update or hand out a mis-kinded series."""
 
     def test_no_lost_increments_across_threads(self):
-        from repro.runtime.sync import make_thread
-
         registry = MetricsRegistry()
         workers, rounds = 8, 500
 
@@ -346,7 +345,8 @@ class TestConcurrentRegistry:
                 hist.observe(i * 1e-4)
                 gauge.set(float(i))
 
-        threads = [make_thread(hammer, name=f"hammer-{i}", args=(i,))
+        threads = [threading.Thread(target=hammer, name=f"hammer-{i}",
+                                    args=(i,))
                    for i in range(workers)]
         for t in threads:
             t.start()
@@ -362,8 +362,6 @@ class TestConcurrentRegistry:
         assert sum(hist.bucket_counts) == workers * rounds
 
     def test_fast_path_cannot_bypass_kind_check(self):
-        from repro.runtime.sync import make_thread
-
         registry = MetricsRegistry()
         outcomes = []
 
@@ -380,10 +378,12 @@ class TestConcurrentRegistry:
         for trial in range(20):
             registry = MetricsRegistry()
             outcomes = []
-            pair = [make_thread(register, name=f"kind-{trial}-c",
-                                args=("counter",)),
-                    make_thread(register, name=f"kind-{trial}-g",
-                                args=("gauge",))]
+            pair = [threading.Thread(target=register,
+                                     name=f"kind-{trial}-c",
+                                     args=("counter",)),
+                    threading.Thread(target=register,
+                                     name=f"kind-{trial}-g",
+                                     args=("gauge",))]
             for t in pair:
                 t.start()
             for t in pair:
@@ -393,18 +393,17 @@ class TestConcurrentRegistry:
             assert len(registry.series("repro_kind_clash")) == 1
 
     def test_render_is_atomic_against_observers(self):
-        from repro.runtime.sync import make_event, make_thread
-
         registry = MetricsRegistry()
         registry.histogram("repro_torn_seconds").observe(0.001)
-        stop = make_event("torn-stop")
+        stop = threading.Event()
 
         def observe_forever():
             hist = registry.histogram("repro_torn_seconds")
             while not stop.is_set():
                 hist.observe(0.002)
 
-        writer = make_thread(observe_forever, name="torn-writer")
+        writer = threading.Thread(target=observe_forever,
+                                  name="torn-writer")
         writer.start()
         try:
             for _ in range(50):

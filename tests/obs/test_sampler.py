@@ -1,4 +1,8 @@
-"""Sampler tests: timelines, stall detection, and the no-op path."""
+"""Sampler tests: timelines, stall detection, and the no-op path.
+
+The sampler runs on the thread that writes the trace: it samples at
+span boundaries, so these tests drive it with spans and fake clocks.
+"""
 
 import threading
 
@@ -38,10 +42,13 @@ def stall_events(trace):
 class TestSampling:
     def test_start_stop_snapshots_without_thread(self):
         trace = Trace(name="t")
+        before = threading.active_count()
         with trace.span("root"):
             sampler = RunSampler(trace, interval_s=0)
             sampler.start()
-            assert sampler._thread is None
+            assert threading.active_count() == before
+            with trace.span("work"):   # boundaries do not sample at 0
+                pass
             sampler.stop()
         samples = sample_events(trace)
         assert len(samples) == 2
@@ -77,47 +84,66 @@ class TestSampling:
                 pass
         assert len(sample_events(trace)) == 2
 
-    def test_stop_joins_thread_even_when_final_sample_raises(self):
-        """Exception-safe teardown: a failing final sample must not
-        leave the daemon thread ticking into the next run."""
+    def test_boundaries_sample_once_the_interval_passed(self):
+        clock = FakeClock()
+        trace = Trace(name="t", clock=clock)
+        sampler = RunSampler(trace, interval_s=1.0).start()
+        for t in (0.4, 0.8, 1.2, 1.6, 2.0, 2.4):
+            clock.t = t
+            with trace.span("step"):
+                pass
+        sampler.stop()
+        times = [e.t for e in sample_events(trace)]
+        # start, first boundary at/after 1.0, next at/after 2.2, stop
+        assert times == [0.0, 1.2, 2.4, 2.4]
 
-        class ExplodingTrace:
-            progress = 0
-            enabled = True
-            fail = False
-
-            def event(self, name, **tags):
-                if self.fail:
-                    raise ValueError("exporter broke")
-
-        trace = ExplodingTrace()
-        before = threading.active_count()
-        sampler = RunSampler(trace, interval_s=0.001)
+    def test_sample_publishes_the_trace_snapshot(self):
+        trace = Trace(name="t")
+        sampler = RunSampler(trace, interval_s=0)
+        outer = trace.span("eco.rectify")
+        trace.span("eco.output").finish()
+        assert trace.snapshot.phase == ()          # nothing published yet
         sampler.start()
-        assert sampler._thread is not None
-        trace.fail = True
+        snap = trace.snapshot
+        assert snap.phase == ("eco.rectify",)
+        assert snap.spans == 1
+        assert snap.progress == trace.progress
+        outer.finish()
+        sampler.stop()
+        assert trace.snapshot.phase == ()
+        assert trace.snapshot.spans == 2
+
+    def test_listener_is_chained_and_restored(self):
+        seen = []
+
+        class Listener:
+            def span_open(self, span):
+                seen.append(("open", span.name))
+
+            def span_close(self, span):
+                seen.append(("close", span.name))
+
+        trace = Trace(name="t")
+        listener = Listener()
+        trace.listener = listener
+        sampler = RunSampler(trace, interval_s=0).start()
+        assert trace.listener is sampler
+        with trace.span("work"):
+            pass
+        sampler.stop()
+        assert trace.listener is listener
+        assert seen == [("open", "work"), ("close", "work")]
+
+    def test_stop_restores_listener_when_final_sample_raises(self):
+        trace = Trace(name="t")
+        sampler = RunSampler(trace, interval_s=0,
+                             bdd_stats=lambda: {"bdd_nodes": 1}).start()
+        sampler.bdd_stats = lambda: 1 // 0
         try:
             sampler.stop()
-        except ValueError:
-            pass  # the failure propagates, but only after the join
-        assert sampler._thread is None
-        assert threading.active_count() == before
-        assert not [t for t in threading.enumerate()
-                    if t.name == "repro-obs-sampler"]
-
-    def test_interval_thread_runs_and_joins(self):
-        trace = Trace(name="t")
-        before = threading.active_count()
-        with trace.span("root"):
-            sampler = RunSampler(trace, interval_s=0.001)
-            sampler.start()
-            assert sampler._thread is not None
-            assert sampler._thread.daemon
-            sampler._thread.join(0.05)  # let a few ticks land
-            sampler.stop()
-        assert sampler._thread is None
-        assert threading.active_count() == before
-        assert len(sample_events(trace)) >= 2
+        except ZeroDivisionError:
+            pass
+        assert trace.listener is None
 
 
 class TestStallDetector:
@@ -165,6 +191,42 @@ class TestStallDetector:
             sampler.stop()
 
 
+    def test_span_held_past_the_window_stalls_exactly_once(self):
+        clock = FakeClock()
+        trace = Trace(name="t", clock=clock)
+        sampler = RunSampler(trace, interval_s=0, stall_window_s=5.0)
+        with trace.span("root"):
+            sampler.start()
+            with trace.span("held"):
+                clock.t = 12.0                     # no boundary meanwhile
+            clock.t = 13.0
+            with trace.span("after"):
+                pass
+            sampler.stop()
+        (stall,) = stall_events(trace)
+        assert stall.tags["idle_s"] == 12.0        # measured at the close
+        assert stall.t == 12.0
+        assert not sampler.stalled                 # re-armed by progress
+
+    def test_stall_gauge_follows_the_detector(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        clock = FakeClock()
+        registry = MetricsRegistry()
+        trace = Trace(name="t", clock=clock, metrics=registry)
+        sampler = RunSampler(trace, interval_s=0, stall_window_s=5.0)
+        with trace.span("root"):
+            sampler.start()
+            clock.t = 6.0
+            sampler.tick()
+            (gauge,) = registry.series("repro_run_stalled")
+            assert gauge.value == 1
+            with trace.span("work"):
+                pass
+            assert gauge.value == 0
+            sampler.stop()
+
+
 class TestNoopPath:
     def test_maybe_sampler_is_none_for_null_trace(self):
         assert maybe_sampler(NULL_TRACE) is None
@@ -180,16 +242,3 @@ class TestNoopPath:
         before = threading.active_count()
         assert maybe_sampler(NULL_TRACE, interval_s=0.001) is None
         assert threading.active_count() == before
-
-    def test_sampler_emit_survives_racy_stack(self):
-        """A sample lost to a concurrent span pop must not raise."""
-
-        class RacyTrace:
-            progress = 0
-            enabled = True
-
-            def event(self, name, **tags):
-                raise IndexError("pop from empty list")
-
-        sampler = RunSampler(RacyTrace(), interval_s=0)
-        sampler.sample()  # swallowed; the sample is simply dropped

@@ -7,8 +7,17 @@ import urllib.request
 import pytest
 
 from repro.obs.metrics import MetricsRegistry, parse_prometheus_text
+from repro.obs.sampler import RunSampler
 from repro.obs.serve import MetricsServer, maybe_serve
 from repro.obs.trace import Trace
+
+
+class FakeClock:
+    def __init__(self):
+        self.t = 0.0
+
+    def __call__(self):
+        return self.t
 
 
 def fetch(url):
@@ -41,6 +50,7 @@ class TestMetricsEndpoint:
         trace = Trace(name="t", metrics=registry)
         with trace.span("eco.rectify"):
             pass
+        trace.publish()
         with MetricsServer(registry, trace=trace) as server:
             _, _, body = fetch(server.url + "/metrics")
         families = parse_prometheus_text(body)
@@ -49,6 +59,20 @@ class TestMetricsEndpoint:
         assert "repro_sat_call_seconds" in families
         assert any(name.startswith("repro_phase_") or
                    name.startswith("repro_run_") for name in families)
+
+    def test_phase_table_covers_only_published_spans(self, registry):
+        trace = Trace(name="t", metrics=registry)
+        with trace.span("eco.diagnose"):
+            pass
+        trace.publish()
+        with trace.span("eco.output"):   # finished after the snapshot
+            pass
+        server = MetricsServer(registry, trace=trace)
+        families = parse_prometheus_text(server.metrics_text())
+        server.stop()
+        phases = {dict(labels)["phase"] for _, labels, _ in
+                  families["repro_phase_calls_total"]["samples"]}
+        assert phases == {"eco.diagnose"}
 
     def test_unknown_path_is_404(self, registry):
         with MetricsServer(registry) as server:
@@ -62,6 +86,7 @@ class TestHealthz:
         trace = Trace(name="demo", metrics=registry)
         span = trace.span("eco.rectify")
         inner = trace.span("eco.output", output="o1")
+        trace.publish()                 # what the sampler does per sample
         with MetricsServer(registry, trace=trace) as server:
             _, ctype, body = fetch(server.url + "/healthz")
         inner.finish()
@@ -74,11 +99,63 @@ class TestHealthz:
         assert doc["progress"] == 2
         assert doc["stalled"] is False
 
-    def test_stall_event_flips_the_status(self, registry):
-        trace = Trace(name="demo")
-        trace.event("run.stalled", idle_s=99)
+    def test_health_reads_only_the_published_snapshot(self, registry):
+        trace = Trace(name="demo", metrics=registry)
+        trace.publish()
+        span = trace.span("eco.rectify")  # not published yet
         server = MetricsServer(registry, trace=trace)
+        doc = server.health()
+        assert doc["phase"] == []
+        assert doc["progress"] == 0
+        trace.publish()
+        assert server.health()["phase"] == ["eco.rectify"]
+        span.finish()
+        server.stop()
+
+    def test_stall_event_flips_the_status(self, registry):
+        clock = FakeClock()
+        trace = Trace(name="demo", clock=clock)
+        trace.span("eco.rectify")
+        trace.publish(stall_window_s=5.0)
+        server = MetricsServer(registry, trace=trace)
+        clock.t = 4.0
+        assert server.health()["status"] == "ok"
+        clock.t = 6.0
+        doc = server.health()
+        assert doc["status"] == "stalled"
+        assert doc["stalled"] is True
+        assert doc["idle_s"] == 6.0
+        server.stop()
+
+    def test_status_recovers_once_the_run_moves_again(self, registry):
+        """A stall, then progress: ``/healthz`` reads ``ok`` again even
+        though the trace keeps its ``run.stalled`` event."""
+        clock = FakeClock()
+        trace = Trace(name="demo", clock=clock)
+        root = trace.span("eco.rectify")
+        sampler = RunSampler(trace, interval_s=1.0, stall_window_s=5.0)
+        sampler.start()
+        server = MetricsServer(registry, trace=trace)
+        clock.t = 10.0
         assert server.health()["status"] == "stalled"
+        with trace.span("eco.output"):      # progress, and a sample
+            pass
+        assert [e.name for e in trace.events].count("run.stalled") == 1
+        doc = server.health()
+        assert doc["status"] == "ok"
+        assert doc["stalled"] is False
+        root.finish()
+        sampler.stop()
+        server.stop()
+
+    def test_finished_run_is_not_stalled(self, registry):
+        clock = FakeClock()
+        trace = Trace(name="demo", clock=clock)
+        trace.span("eco.rectify").finish()
+        trace.publish(stall_window_s=5.0)
+        server = MetricsServer(registry, trace=trace)
+        clock.t = 60.0
+        assert server.health()["status"] == "ok"
         server.stop()
 
     def test_health_provider_merges_and_degrades(self, registry):

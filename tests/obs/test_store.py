@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -146,6 +147,29 @@ class TestRunStore:
             entries = store.list()
         assert [e["run_id"] for e in entries] == ["a" * 8]
         assert any("index" in r.message for r in caplog.records)
+
+    def test_concurrent_publishers_lose_no_rows(self, store):
+        """The index read-modify-write is serialized: 4 threads x 5
+        records leave 20 rows, 20 distinct ids and 20 records."""
+        workers, per_worker = 4, 5
+
+        def publish(wid):
+            for i in range(per_worker):
+                store.publish(make_record(f"race-{wid}-{i}"))
+
+        threads = [threading.Thread(target=publish, args=(i,),
+                                    name=f"store-publisher-{i}")
+                   for i in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+        want = workers * per_worker
+        rows = store.list()
+        assert len(rows) == want
+        assert len({row["run_id"] for row in rows}) == want
+        assert len(store.load_all()) == want
 
 
 class TestRecover:
