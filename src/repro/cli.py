@@ -192,17 +192,16 @@ def _cmd_eco(args: argparse.Namespace) -> int:
         serve_port = None
     elif (want_export or args.store_runs) and args.engine == "syseco":
         # traced whenever the run is being recorded, so the run store
-        # gets the phase summary and the obs.sample timeline; the
-        # metrics registry rides on the trace, collecting latency
-        # histograms for the run record and the live endpoint
-        from repro.obs import MetricsRegistry, Trace
-        trace = Trace(name=impl.name, metrics=MetricsRegistry())
+        # gets the phase summary, the obs.sample timeline and the
+        # latency histograms derived from the spans
+        from repro.obs import Trace
+        trace = Trace(name=impl.name)
 
     server = None
     if serve_port is not None and trace is not None:
         from repro.obs import maybe_serve
         server = maybe_serve(
-            trace.metrics, serve_port, trace=trace,
+            trace, serve_port,
             health_provider=lambda: {"run_id": run_id,
                                      "engine": args.engine})
         if server is not None:

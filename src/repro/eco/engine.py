@@ -167,7 +167,6 @@ class SysEco:
             trace, counters=run.counters, bdd_stats=run.live_bdd_stats,
             interval_s=config.sample_interval_s,
             stall_window_s=config.stall_window_s,
-            gauge_hook=run.publish_gauges,
             trace_malloc=config.trace_malloc)
         try:
             if sampler is not None:
@@ -218,7 +217,7 @@ class SysEco:
                     impl.name, len(failing), len(impl.outputs))
 
         if journal is not None:
-            journal.bind(run.injector, metrics=trace.metrics)
+            journal.bind(run.injector, trace=trace)
             if journal.resuming:
                 journal.check_resumable(impl.name, config, failing)
                 with trace.span("eco.resume",

@@ -476,8 +476,7 @@ def parallel_repair(engine, work: Circuit, spec: Circuit,
     if run.trace.enabled:
         bus = LiveBus.create(inline)
         if bus is not None:
-            aggregator = LiveAggregator(
-                run.trace, bus, registry=run.trace.metrics)
+            aggregator = LiveAggregator(run.trace, bus)
     try:
         supervised = _run_partitions(payloads, run, policy, inline,
                                      bus=bus, aggregator=aggregator)

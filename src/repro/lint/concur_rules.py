@@ -3,9 +3,8 @@
 ``repro lint --self`` runs these ``CC...`` rules alongside the ``RI``
 repo invariants.  The engine itself is single-threaded plus worker
 processes; the rules guard what still has a thread to share: the
-``--serve-metrics`` endpoint, the metrics-registry and run-store locks
-and the worker pools (``docs/static-analysis.md``, "Concurrency
-rules"):
+``--serve-metrics`` endpoint, the run-store lock and the worker pools
+(``docs/static-analysis.md``, "Concurrency rules"):
 
 * ``CC002`` — explicit ``.acquire()`` not release-protected: the only
   sanctioned shapes are ``with lock:``, ``acquire()`` immediately

@@ -7,7 +7,9 @@ BDD session, resynthesis, and the degradation events.  A finished
 trace exports as JSONL, Chrome trace-event JSON (Perfetto /
 ``chrome://tracing``), or a Prometheus-style metrics snapshot, and
 renders as a phase tree with SAT-conflict and BDD-node attribution
-(``repro trace <file>``).
+(``repro trace <file>``).  The trace's records are the only telemetry
+store: latency histograms, counter totals and gauges are derived from
+them (:func:`derive_metrics`), never booked a second time.
 
 When no trace is requested the engine threads :data:`NULL_TRACE`,
 whose calls are inert — instrumentation costs one attribute lookup
@@ -42,7 +44,6 @@ from repro.obs.export import (
     chrome_payload,
     prometheus_text,
     read_trace,
-    sanitize_metric_name,
     write_chrome,
     write_jsonl,
     write_prometheus,
@@ -52,16 +53,15 @@ from repro.obs.metrics import (
     LATENCY_BUCKETS,
     SIZE_BUCKETS,
     SPAN_HISTOGRAMS,
-    Counter,
-    Gauge,
+    Family,
     Histogram,
-    MetricsRegistry,
     PrometheusParseError,
-    get_registry,
+    derive_metrics,
     histogram_percentiles,
     log_buckets,
     parse_prometheus_text,
     render_prometheus,
+    sanitize_metric_name,
 )
 from repro.obs.sampler import RunSampler, maybe_sampler
 from repro.obs.serve import MetricsServer, maybe_serve
@@ -110,12 +110,10 @@ __all__ = [
     "LATENCY_BUCKETS",
     "SIZE_BUCKETS",
     "SPAN_HISTOGRAMS",
-    "Counter",
-    "Gauge",
+    "Family",
     "Histogram",
-    "MetricsRegistry",
     "PrometheusParseError",
-    "get_registry",
+    "derive_metrics",
     "histogram_percentiles",
     "log_buckets",
     "parse_prometheus_text",

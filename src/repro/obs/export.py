@@ -10,9 +10,11 @@ Three output formats:
   ``chrome://tracing``.  Span ids, tags and counter deltas ride in
   ``args`` so the file round-trips losslessly through
   :func:`read_trace`.
-* **Prometheus text** — a point-in-time metrics snapshot: per-phase
-  time/call/conflict/node totals plus every run counter, suitable for
-  a textfile-collector scrape.
+* **Prometheus text** — a point-in-time metrics snapshot: the
+  families :mod:`repro.obs.metrics` derives from the records (latency
+  histograms, run counters, gauges) plus per-phase
+  time/call/conflict/node totals, suitable for a textfile-collector
+  scrape.
 
 :func:`read_trace` sniffs the format (JSONL vs. Chrome) and returns
 the canonical record list that :mod:`repro.obs.summary` consumes.
@@ -21,11 +23,13 @@ the canonical record list that :mod:`repro.obs.summary` consumes.
 from __future__ import annotations
 
 import json
-import re
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.obs.atomicio import atomic_write_text
+from repro.obs.metrics import Family, derive_metrics, render_prometheus
+from repro.obs.metrics import sanitize_metric_name  # noqa: F401 (re-export)
 from repro.obs.summary import summarize
+from repro.obs.trace import TraceSnapshot
 
 
 def _records_of(trace_or_records) -> List[Dict[str, Any]]:
@@ -121,51 +125,9 @@ def write_chrome(trace_or_records, path: str) -> None:
 # ----------------------------------------------------------------------
 # Prometheus text snapshot
 # ----------------------------------------------------------------------
-def _escape(value: str) -> str:
-    """Escape a label value per the Prometheus exposition format.
-
-    Backslash, double quote *and line feed* must be escaped — phase
-    names contain ``.``/``/`` (legal in label values) but user-supplied
-    tags and run names can contain anything.
-    """
-    return (value.replace("\\", "\\\\")
-            .replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
-_METRIC_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def sanitize_metric_name(name: str) -> str:
-    """Coerce ``name`` into a legal Prometheus metric name.
-
-    Illegal characters (``.`` in phase names, ``-``, whitespace, ...)
-    become ``_``; a leading digit is prefixed with ``_``.
-    """
-    cleaned = _METRIC_NAME_RE.sub("_", name) or "_"
-    if cleaned[0].isdigit():
-        cleaned = "_" + cleaned
-    return cleaned
-
-
-def prometheus_text(trace_or_records, registry=None) -> str:
-    """Per-phase and per-run metrics in Prometheus exposition format.
-
-    With a :class:`~repro.obs.metrics.MetricsRegistry` (passed
-    explicitly, or found on a live trace's ``metrics`` attribute) the
-    payload leads with the registry's series — labeled counters,
-    gauges and full histogram ``_bucket``/``_sum``/``_count`` families
-    — followed by the per-phase snapshot derived from the trace.
-    """
-    if registry is None:
-        registry = getattr(trace_or_records, "metrics", None)
-    prefix = ""
-    if registry is not None:
-        from repro.obs.metrics import render_prometheus
-        prefix = render_prometheus(registry)
-    records = _records_of(trace_or_records)
+def _phase_families(records: List[Dict[str, Any]]) -> List[Family]:
+    """The run-info gauge and the per-phase totals of the phase tree."""
     summary = summarize(records)
-
     flat = []
 
     def walk(node, path):
@@ -177,56 +139,48 @@ def prometheus_text(trace_or_records, registry=None) -> str:
     for root in summary.roots:
         walk(root, ())
 
-    lines: List[str] = []
+    def per_phase(metric: str, help_: str, attr: str) -> Family:
+        return Family(metric, "counter", help_,
+                      tuple(((("phase", name),), getattr(node, attr))
+                            for name, node in flat))
 
-    def emit(metric: str, mtype: str, help_: str,
-             samples: Sequence) -> None:
-        metric = sanitize_metric_name(metric)
-        lines.append(f"# HELP {metric} {help_}")
-        lines.append(f"# TYPE {metric} {mtype}")
-        for labels, value in samples:
-            label_s = ""
-            if labels:
-                inner = ",".join(
-                    f'{sanitize_metric_name(str(k))}="{_escape(str(v))}"'
-                    for k, v in labels)
-                label_s = "{" + inner + "}"
-            lines.append(f"{metric}{label_s} {value}")
-
-    emit("repro_run_info", "gauge",
-         "constant 1; the run name rides in the label",
-         [((("name", summary.name),), 1)])
-    emit("repro_phase_seconds_total", "counter",
-         "wall seconds spent per phase (children included)",
-         [(((("phase", name),)), f"{node.seconds:.6f}")
-          for name, node in flat])
-    emit("repro_phase_calls_total", "counter",
-         "spans recorded per phase",
-         [(((("phase", name),)), node.calls) for name, node in flat])
-    emit("repro_phase_sat_conflicts_total", "counter",
-         "SAT conflicts attributed per phase",
-         [(((("phase", name),)), node.sat_conflicts)
-          for name, node in flat])
-    emit("repro_phase_bdd_nodes_total", "counter",
-         "BDD nodes attributed per phase",
-         [(((("phase", name),)), node.bdd_nodes) for name, node in flat])
-    emit("repro_run_wall_seconds", "gauge",
-         "wall time covered by the trace",
-         [((), f"{summary.wall_seconds:.6f}")])
-    emit("repro_run_degraded", "gauge",
-         "1 when the run degraded to the guaranteed fallback",
-         [((), int(summary.degraded))])
-    if summary.counters:
-        emit("repro_run_counter_total", "counter",
-             "final RunCounters values of the run",
-             [((("counter", k),), v)
-              for k, v in sorted(summary.counters.items())])
-    return prefix + "\n".join(lines) + "\n"
+    return [
+        Family("repro_run_info", "gauge",
+               "constant 1; the run name rides in the label",
+               (((("name", summary.name),), 1),)),
+        Family("repro_phase_seconds_total", "counter",
+               "wall seconds spent per phase (children included)",
+               tuple(((("phase", name),), round(node.seconds, 6))
+                     for name, node in flat)),
+        per_phase("repro_phase_calls_total",
+                  "spans recorded per phase", "calls"),
+        per_phase("repro_phase_sat_conflicts_total",
+                  "SAT conflicts attributed per phase", "sat_conflicts"),
+        per_phase("repro_phase_bdd_nodes_total",
+                  "BDD nodes attributed per phase", "bdd_nodes"),
+        Family("repro_run_wall_seconds", "gauge",
+               "wall time covered by the trace",
+               (((), round(summary.wall_seconds, 6)),)),
+    ]
 
 
-def write_prometheus(trace_or_records, path: str, registry=None) -> None:
-    atomic_write_text(path, prometheus_text(trace_or_records,
-                                            registry=registry))
+def prometheus_text(trace_or_records,
+                    snapshot: Optional[TraceSnapshot] = None,
+                    now: Optional[float] = None) -> str:
+    """The run's metrics in Prometheus exposition format.
+
+    The families :func:`~repro.obs.metrics.derive_metrics` reads off
+    the records (latency histograms, run counters, gauges; ``snapshot``
+    and ``now`` as there), followed by the per-phase snapshot derived
+    from the same records.
+    """
+    records = _records_of(trace_or_records)
+    return render_prometheus(derive_metrics(records, snapshot, now)
+                             + _phase_families(records))
+
+
+def write_prometheus(trace_or_records, path: str) -> None:
+    atomic_write_text(path, prometheus_text(trace_or_records))
 
 
 # ----------------------------------------------------------------------

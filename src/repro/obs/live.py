@@ -21,19 +21,18 @@ span history.  This module closes both:
   never to a worker crash.
 * :class:`LiveAggregator` — the supervisor side.  The dispatcher
   calls its :meth:`~LiveAggregator.pump` on the engine's own thread
-  while it waits for the workers; each pump feeds every streamed
-  ``span_close`` into the run's
-  :class:`~repro.obs.metrics.MetricsRegistry` (live latency
-  histograms) and buffers the records per worker.  Reconciliation
-  against the final graft is exact: a worker that returns normally has
-  its buffer *discarded* (the ``Trace.absorb`` graft of its shipped
-  records is authoritative, and ``absorb`` does not re-feed the
-  registry, so each span is observed exactly once); a worker that
-  *dies* has its buffer **materialized** — closed spans grafted as-is,
-  still-open spans synthesized with a ``partial=True`` tag, and the
-  last counter snapshot returned so the supervisor can charge the real
-  spend.  Partial telemetry therefore survives ``output.quarantined``
-  instead of vanishing.
+  while it waits for the workers; each pump buffers the streamed
+  records per worker.  Reconciliation against the final graft is
+  exact: a worker that returns normally has its buffer *discarded*
+  (the ``Trace.absorb`` graft of its shipped records is
+  authoritative); a worker that *dies* has its buffer
+  **materialized** — closed spans grafted as-is, still-open spans
+  synthesized with a ``partial=True`` tag, and the last counter
+  snapshot returned so the supervisor can charge the real spend.
+  Partial telemetry therefore survives ``output.quarantined`` instead
+  of vanishing.  Either way a worker's spans enter the main trace —
+  and the metrics derived from it — once, when its partition returns
+  or is flushed.
 
 Stdlib only.
 """
@@ -52,10 +51,6 @@ WORKER_BYE = "bye"
 
 #: minimum seconds between piggybacked counter heartbeats
 HEARTBEAT_INTERVAL_S = 0.2
-
-#: gauge families the aggregator maintains
-WORKERS_GAUGE = "repro_live_workers"
-HEARTBEAT_GAUGE = "repro_worker_heartbeat_ts_seconds"
 
 
 class LiveBus:
@@ -91,14 +86,6 @@ class LiveBus:
                 return out
             except (OSError, EOFError, BrokenPipeError):
                 return out
-
-    def get(self, timeout: float) -> Optional[Dict[str, Any]]:
-        try:
-            return self.queue.get(timeout=timeout)
-        except _queue.Empty:
-            return None
-        except (OSError, EOFError, BrokenPipeError):
-            return None
 
     def close(self) -> None:
         if self._manager is not None:
@@ -200,11 +187,10 @@ class LiveAggregator:
     reconciliation described in the module docstring.
     """
 
-    def __init__(self, trace, bus: LiveBus, registry=None,
+    def __init__(self, trace, bus: LiveBus,
                  clock: Callable[[], float] = time.monotonic):
         self.trace = trace
         self.bus = bus
-        self.registry = registry
         self._clock = clock
         self._workers: Dict[str, _WorkerState] = {}
         #: workers already reconciled (discarded or flushed): late bus
@@ -224,7 +210,6 @@ class LiveAggregator:
         state = self._workers.get(worker_id)
         if state is None:
             state = self._workers[worker_id] = _WorkerState()
-            self._gauge_workers()
         return state
 
     def _handle(self, message: Dict[str, Any]) -> None:
@@ -240,38 +225,17 @@ class LiveAggregator:
             record = message["record"]
             state.open_spans.pop(record["id"], None)
             state.closed.append(record)
-            if self.registry is not None:
-                self.registry.observe_span(
-                    record["name"], record.get("dur", 0.0),
-                    record.get("tags"))
         elif kind == HEARTBEAT:
             state.counters = dict(message.get("counters", {}))
-            if self.registry is not None:
-                self.registry.gauge(
-                    HEARTBEAT_GAUGE, {"worker": worker_id},
-                    help="monotonic time of each live worker's last "
-                    "heartbeat").set(state.last_seen)
         elif kind == WORKER_BYE:
             state.gone = True
-            self._gauge_workers()
-
-    def _gauge_workers(self) -> None:
-        if self.registry is not None:
-            alive = sum(1 for s in self._workers.values() if not s.gone)
-            self.registry.gauge(
-                WORKERS_GAUGE,
-                help="search workers currently streaming telemetry"
-            ).set(alive)
 
     # -- reconciliation -------------------------------------------------
     def discard(self, worker_id: str) -> None:
         """The worker returned normally: its shipped records are the
-        truth, drop the live buffer (the registry already saw every
-        closed span exactly once — ``Trace.absorb`` does not re-feed
-        it)."""
+        truth, drop the live buffer."""
         self._workers.pop(worker_id, None)
         self._finalized.add(worker_id)
-        self._gauge_workers()
 
     def flush_dead(self, worker_id: str,
                    parent: Optional[int] = None) -> Dict[str, int]:
@@ -285,7 +249,6 @@ class LiveAggregator:
         """
         state = self._workers.pop(worker_id, None)
         self._finalized.add(worker_id)
-        self._gauge_workers()
         if state is None:
             return {}
         records = list(state.closed)

@@ -1,49 +1,41 @@
-"""Labeled metrics registry: counters, gauges, log-bucketed histograms.
+"""Metrics derived from the trace: histograms, counters, gauges.
 
-The span tracer answers *where did the time go* after a run; this
-module answers *what is the latency distribution right now*.  A
-:class:`MetricsRegistry` is a process-wide (or per-run) collection of
+The span tracer's records are the run's only telemetry store; this
+module reads the metrics off them.  :func:`derive_metrics` turns a
+record list (plus, mid-run, the published
+:class:`~repro.obs.trace.TraceSnapshot`) into metric families:
 
-* :class:`Counter` — monotone totals (``repro_counter_total``),
-* :class:`Gauge` — point-in-time values (run progress, live BDD nodes,
-  worker heartbeat ages),
-* :class:`Histogram` — log-bucketed latency/size distributions with
-  Prometheus-style cumulative buckets and derived p50/p95/p99.
+* log-bucketed :class:`Histogram` families binned from the finished
+  spans that :data:`SPAN_HISTOGRAMS` maps (SAT-call latency,
+  incremental-validation latency, candidate screen time, journal
+  appends, ...) and from the ``nodes`` tag of ``bdd.session`` spans;
+* one ``repro_counter_total{counter=...}`` family holding the run's
+  ``RunCounters`` totals;
+* point-in-time gauges: run progress and the stall verdict, live BDD
+  nodes, the ``tracemalloc`` peak and the degradation flag.
 
-Every metric family may carry *labels*; ``registry.counter(name,
-labels)`` returns the one series for that ``(name, labels)`` pair, so
-hot paths can cache the series object and pay one ``+=`` per update.
-
-The tracer feeds the registry automatically: :meth:`Span.finish`
-routes the span through :meth:`MetricsRegistry.observe_span`, which
-maps instrumented phase names onto histogram families
-(:data:`SPAN_HISTOGRAMS` — SAT-call latency, incremental-validation
-latency, candidate screen time, BDD node growth) — and
-:class:`~repro.obs.sampler.RunSampler` syncs ``RunCounters`` deltas
-into counter series on every sample.
-
-:func:`render_prometheus` emits the registry in strict exposition
-format — ``# HELP``/``# TYPE`` for every family, histogram
+:func:`render_prometheus` emits families in strict exposition format —
+``# HELP``/``# TYPE`` for every family, histogram
 ``_bucket``/``_sum``/``_count`` series with cumulative counts and a
 ``+Inf`` bucket — and :func:`parse_prometheus_text` is the matching
 strict parser (used by the conformance tests, the CI smoke job and the
 ``repro watch`` live dashboard).
 
-Stdlib only.  The engine updates a run's registry from its own
-thread, but the registry is public and may be shared across threads
-(the ``/metrics`` endpoint renders it from its HTTP thread), so every
-series carries a small update lock: ``x += y`` is not atomic.
+A derivation reads finished records only and builds fresh families
+each time, so nothing here is shared between threads and nothing needs
+a lock.  Stdlib only.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import threading
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
-from repro.obs.export import sanitize_metric_name
+from repro.obs.sampler import NON_COUNTER_TAGS, SAMPLE_EVENT
+from repro.obs.trace import TraceSnapshot
 
 LabelPairs = Tuple[Tuple[str, str], ...]
 
@@ -52,6 +44,21 @@ def _label_key(labels: Optional[Dict[str, str]]) -> LabelPairs:
     if not labels:
         return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
+_METRIC_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
+
+
+def sanitize_metric_name(name: str) -> str:
+    """Coerce ``name`` into a legal Prometheus metric name.
+
+    Illegal characters (``.`` in phase names, ``-``, whitespace, ...)
+    become ``_``; a leading digit is prefixed with ``_``.
+    """
+    cleaned = _METRIC_NAME_RE.sub("_", name) or "_"
+    if cleaned[0].isdigit():
+        cleaned = "_" + cleaned
+    return cleaned
 
 
 def log_buckets(start: float, factor: float, count: int) -> List[float]:
@@ -72,55 +79,6 @@ LATENCY_BUCKETS = log_buckets(0.0001, 2.0, 20)
 SIZE_BUCKETS = log_buckets(64, 4.0, 13)
 
 
-class Counter:
-    """One monotone counter series (thread-safe updates)."""
-
-    __slots__ = ("name", "labels", "value", "_lock")
-
-    def __init__(self, name: str, labels: LabelPairs):
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-        self._lock = threading.Lock()
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        with self._lock:
-            self.value += amount
-
-    def set_to_at_least(self, total: float) -> None:
-        """Raise the counter to ``total`` (sync from a monotone source
-        like ``RunCounters``); never lowers it."""
-        with self._lock:
-            if total > self.value:
-                self.value = total
-
-
-class Gauge:
-    """One point-in-time gauge series (thread-safe updates)."""
-
-    __slots__ = ("name", "labels", "value", "_lock")
-
-    def __init__(self, name: str, labels: LabelPairs):
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value -= amount
-
-
 class Histogram:
     """One log-bucketed histogram series.
 
@@ -130,26 +88,20 @@ class Histogram:
     implicit ``+Inf`` bucket.
     """
 
-    __slots__ = ("name", "labels", "bounds", "bucket_counts",
-                 "count", "sum", "_lock")
+    __slots__ = ("bounds", "bucket_counts", "count", "sum")
 
-    def __init__(self, name: str, labels: LabelPairs,
-                 bounds: Sequence[float]):
+    def __init__(self, bounds: Sequence[float]):
         if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
             raise ValueError("histogram bounds must be strictly increasing")
-        self.name = name
-        self.labels = labels
         self.bounds = tuple(float(b) for b in bounds)
         self.bucket_counts = [0] * (len(self.bounds) + 1)  # + overflow
         self.count = 0
         self.sum = 0.0
-        self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
-        with self._lock:
-            self.bucket_counts[bisect_left(self.bounds, value)] += 1
-            self.count += 1
-            self.sum += value
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1
+        self.count += 1
+        self.sum += value
 
     # ------------------------------------------------------------------
     def percentile(self, q: float) -> float:
@@ -159,10 +111,6 @@ class Histogram:
         bucket reports its lower bound (the last finite boundary) — a
         conservative answer for an unbounded tail.  ``0.0`` when empty.
         """
-        with self._lock:
-            return self._percentile_locked(q)
-
-    def _percentile_locked(self, q: float) -> float:
         if self.count == 0:
             return 0.0
         rank = q * self.count
@@ -183,52 +131,28 @@ class Histogram:
     def snapshot(self) -> Dict[str, Any]:
         """Serializable state: count/sum/cumulative buckets + derived
         percentiles — the form persisted into ``RunRecord.histograms``.
-
-        Taken atomically under the series lock, so a scrape racing an
-        ``observe`` never sees a count/bucket mismatch.
         """
-        with self._lock:
-            cumulative = 0
-            buckets: List[List[Any]] = []
-            for bound, n in zip(self.bounds, self.bucket_counts):
-                cumulative += n
-                buckets.append([bound, cumulative])
-            buckets.append(["+Inf", self.count])
-            return {
-                "count": self.count,
-                "sum": round(self.sum, 9),
-                "buckets": buckets,
-                "p50": round(self._percentile_locked(0.50), 9),
-                "p95": round(self._percentile_locked(0.95), 9),
-                "p99": round(self._percentile_locked(0.99), 9),
-            }
-
-    def merge_counts(self, other: "Histogram") -> None:
-        """Fold another series' observations in (same bounds required).
-
-        The two locks are taken sequentially, never nested, so merging
-        cannot participate in a lock-order cycle.
-        """
-        with other._lock:
-            bounds = other.bounds
-            counts = list(other.bucket_counts)
-            count = other.count
-            total = other.sum
-        if bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different "
-                             "bucket boundaries")
-        with self._lock:
-            for i, n in enumerate(counts):
-                self.bucket_counts[i] += n
-            self.count += count
-            self.sum += total
+        cumulative = 0
+        buckets: List[List[Any]] = []
+        for bound, n in zip(self.bounds, self.bucket_counts):
+            cumulative += n
+            buckets.append([bound, cumulative])
+        buckets.append(["+Inf", self.count])
+        return {
+            "count": self.count,
+            "sum": round(self.sum, 9),
+            "buckets": buckets,
+            "p50": round(self.percentile(0.50), 9),
+            "p95": round(self.percentile(0.95), 9),
+            "p99": round(self.percentile(0.99), 9),
+        }
 
 
 # ----------------------------------------------------------------------
-# span -> histogram routing
+# derivation from trace records
 # ----------------------------------------------------------------------
-#: instrumented span names routed into latency histogram families by
-#: :meth:`MetricsRegistry.observe_span`
+#: instrumented span names whose durations bin into latency histogram
+#: families
 SPAN_HISTOGRAMS: Dict[str, Tuple[str, str]] = {
     "sat.validate": ("repro_sat_call_seconds",
                      "supervised SAT validation call latency"),
@@ -242,6 +166,8 @@ SPAN_HISTOGRAMS: Dict[str, Tuple[str, str]] = {
                    "per-output rectification latency"),
     "eco.search": ("repro_search_seconds",
                    "symbolic search attempt latency"),
+    "journal.append": ("repro_journal_append_seconds",
+                       "checkpoint-journal append latency"),
 }
 
 #: span name whose node count feeds the BDD-growth size histogram
@@ -249,144 +175,132 @@ BDD_SESSION_SPAN = "bdd.session"
 BDD_NODES_HISTOGRAM = ("repro_bdd_session_nodes",
                        "BDD nodes grown per symbolic session")
 
-JOURNAL_APPEND_HISTOGRAM = ("repro_journal_append_seconds",
-                            "checkpoint-journal append latency")
+_HISTOGRAM_HELP = dict([*SPAN_HISTOGRAMS.values(), BDD_NODES_HISTOGRAM])
 
 
-class MetricsRegistry:
-    """A named collection of metric families and their series.
+class Family(NamedTuple):
+    """One metric family, ready to render.
 
-    Thread-safe throughout: series creation is double-checked-locked
-    (the hot path is one unlocked dict hit; the slow path re-checks
-    under the registry lock, so a kind collision can never slip
-    through the lock-free read), every series update takes the series'
-    own lock (no lost increments), and the read paths copy under the
-    registry lock so a mid-run scrape never iterates a dict another
-    thread is growing.
+    ``series`` pairs each label tuple with its value: a number for
+    counters and gauges, a :class:`Histogram` for histograms.
     """
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        #: family name -> (kind, help)
-        self._families: Dict[str, Tuple[str, str]] = {}
-        self._series: Dict[Tuple[str, LabelPairs], Any] = {}
+    name: str
+    kind: str
+    help: str
+    series: Tuple[Tuple[LabelPairs, Any], ...]
 
-    # ------------------------------------------------------------------
-    def _get(self, kind: str, cls, name: str,
-             labels: Optional[Dict[str, str]], help_: str, **kwargs):
-        name = sanitize_metric_name(name)
-        key = (name, _label_key(labels))
-        series = self._series.get(key)
-        if series is None:
-            with self._lock:
-                # another thread may have created the series since the
-                # unlocked read; the kind check below covers that case
-                series = self._series.get(key)
-                if series is None:
-                    family = self._families.get(name)
-                    if family is not None and family[0] != kind:
-                        raise ValueError(
-                            f"metric {name!r} already registered as "
-                            f"{family[0]}, not {kind}")
-                    if family is None:
-                        self._families[name] = (kind, help_ or name)
-                    series = cls(name, key[1], **kwargs)
-                    self._series[key] = series
-        if not isinstance(series, cls):
-            raise ValueError(
-                f"metric {name!r} already registered as "
-                f"{self._families[name][0]}, not {kind}")
-        return series
 
-    def counter(self, name: str,
-                labels: Optional[Dict[str, str]] = None,
-                help: str = "") -> Counter:
-        return self._get("counter", Counter, name, labels, help)
-
-    def gauge(self, name: str,
-              labels: Optional[Dict[str, str]] = None,
-              help: str = "") -> Gauge:
-        return self._get("gauge", Gauge, name, labels, help)
-
-    def histogram(self, name: str,
-                  labels: Optional[Dict[str, str]] = None,
-                  help: str = "",
-                  buckets: Optional[Sequence[float]] = None) -> Histogram:
-        return self._get("histogram", Histogram, name, labels, help,
-                         bounds=tuple(buckets if buckets is not None
-                                      else LATENCY_BUCKETS))
-
-    # ------------------------------------------------------------------
-    def observe_span(self, name: str, duration: float,
-                     tags: Optional[Dict[str, Any]] = None) -> None:
-        """Route one finished span into its histogram family (if any).
-
-        Called by :meth:`Trace._finish` for every span and by the live
-        aggregator for streamed worker spans; unmapped names cost one
-        dict miss.
-        """
+def _bin_span(hists: Dict[str, Histogram], rec: Dict[str, Any]) -> None:
+    tags = rec.get("tags") or {}
+    if tags.get("partial"):
+        # synthesized for a worker that died mid-span: the duration
+        # runs to the worker's last message, not to a real finish
+        return
+    name = rec.get("name")
+    if name == BDD_SESSION_SPAN:
+        nodes = tags.get("nodes")
+        if nodes is None:
+            return
+        family, value, bounds = (BDD_NODES_HISTOGRAM[0], float(nodes),
+                                 SIZE_BUCKETS)
+    else:
         mapped = SPAN_HISTOGRAMS.get(name)
-        if mapped is not None:
-            self.histogram(mapped[0], help=mapped[1]).observe(duration)
-        elif name == BDD_SESSION_SPAN and tags:
-            nodes = tags.get("nodes")
-            if nodes is not None:
-                self.histogram(BDD_NODES_HISTOGRAM[0],
-                               help=BDD_NODES_HISTOGRAM[1],
-                               buckets=SIZE_BUCKETS).observe(float(nodes))
-
-    def sync_counters(self, totals: Dict[str, int],
-                      prefix: str = "repro_counter_total") -> None:
-        """Sync monotone ``RunCounters`` totals into labeled counters.
-
-        The sampler calls this every tick; deltas accumulate because
-        :meth:`Counter.set_to_at_least` never lowers a series.
-        """
-        for key, value in totals.items():
-            if value:
-                self.counter(prefix, labels={"counter": key},
-                             help="RunCounters totals of the current run"
-                             ).set_to_at_least(value)
-
-    # ------------------------------------------------------------------
-    def families(self) -> Dict[str, Tuple[str, str]]:
-        with self._lock:
-            return dict(self._families)
-
-    def series(self, name: Optional[str] = None) -> List[Any]:
-        name = sanitize_metric_name(name) if name else None
-        with self._lock:
-            items = sorted(self._series.items())
-        return [s for (n, _), s in items if name is None or n == name]
-
-    def histogram_snapshots(self) -> Dict[str, Dict[str, Any]]:
-        """Per-family snapshots with label series merged.
-
-        This is what :func:`repro.obs.store.record_from_result`
-        persists into ``RunRecord.histograms`` so ``repro runs
-        diff/regress`` can gate on tail latency.
-        """
-        with self._lock:
-            items = sorted(self._series.items())
-        merged: Dict[str, Histogram] = {}
-        for (name, _), series in items:
-            if not isinstance(series, Histogram):
-                continue
-            base = merged.get(name)
-            if base is None:
-                base = Histogram(name, (), series.bounds)
-                merged[name] = base
-            base.merge_counts(series)
-        return {name: h.snapshot() for name, h in merged.items()}
+        if mapped is None:
+            return
+        family, value, bounds = (mapped[0], rec.get("dur", 0.0),
+                                 LATENCY_BUCKETS)
+    hist = hists.get(family)
+    if hist is None:
+        hist = hists[family] = Histogram(bounds)
+    hist.observe(value)
 
 
-#: the process-wide default registry (`--serve-metrics` serves the
-#: run's registry, which the CLI aliases to this one)
-REGISTRY = MetricsRegistry()
+def derive_metrics(records: Iterable[Dict[str, Any]],
+                   snapshot: Optional[TraceSnapshot] = None,
+                   now: Optional[float] = None) -> List[Family]:
+    """The metric families of a run, read off its trace records.
+
+    ``records`` is a :meth:`~repro.obs.trace.Trace.records` list — of a
+    finished run, of the prefix a published snapshot counts, or
+    reloaded from a trace file.  The families are:
+
+    * one histogram per mapped span name with at least one finished,
+      non-``partial`` span;
+    * ``repro_counter_total``: the meta record's final counters, or —
+      before the run has finished — the latest ``obs.sample``'s;
+    * ``repro_run_degraded``, from the meta record or a
+      ``run.degraded`` event;
+    * ``repro_bdd_live_nodes`` and ``repro_mem_peak_kib`` from the
+      latest sample, when it carries them;
+    * with a ``snapshot``, ``repro_trace_progress`` and
+      ``repro_run_stalled`` (the snapshot's stall verdict at trace
+      time ``now``; 0 without ``now``).
+    """
+    meta: Dict[str, Any] = {}
+    sample: Dict[str, Any] = {}
+    degraded = False
+    hists: Dict[str, Histogram] = {}
+    for rec in records:
+        kind = rec.get("type")
+        if kind == "span":
+            _bin_span(hists, rec)
+        elif kind == "event":
+            name = rec.get("name")
+            if name == SAMPLE_EVENT:
+                sample = rec.get("tags") or {}
+            elif name == "run.degraded":
+                degraded = True
+        elif kind == "meta":
+            meta = rec
+
+    families = [Family(name, "histogram", _HISTOGRAM_HELP[name],
+                       (((), hist),))
+                for name, hist in sorted(hists.items())]
+    counters = meta.get("counters")
+    if counters is None:
+        counters = {k: v for k, v in sample.items()
+                    if v and k not in NON_COUNTER_TAGS}
+    if counters:
+        families.append(Family(
+            "repro_counter_total", "counter",
+            "RunCounters totals of the run",
+            tuple(((("counter", k),), v)
+                  for k, v in sorted(counters.items()))))
+
+    gauges: List[Tuple[str, str, Any]] = [
+        ("repro_run_degraded",
+         "1 when the run degraded to the guaranteed fallback",
+         int(bool(meta.get("degraded")) or degraded))]
+    if "bdd_nodes" in sample:
+        gauges.append(("repro_bdd_live_nodes",
+                       "cumulative BDD nodes incl. live sessions",
+                       sample["bdd_nodes"]))
+    if "mem_peak_kib" in sample:
+        gauges.append(("repro_mem_peak_kib",
+                       "tracemalloc peak of the current run (KiB)",
+                       sample["mem_peak_kib"]))
+    if snapshot is not None:
+        gauges.append(("repro_trace_progress",
+                       "monotone span-activity counter",
+                       snapshot.progress))
+        gauges.append(("repro_run_stalled",
+                       "1 while a phase has been idle for the stall "
+                       "window",
+                       int(now is not None and snapshot.stalled(now))))
+    families.extend(Family(name, "gauge", help_, (((), value),))
+                    for name, help_, value in gauges)
+    return families
 
 
-def get_registry() -> MetricsRegistry:
-    return REGISTRY
+def histogram_snapshots(families: Iterable[Family]
+                        ) -> Dict[str, Dict[str, Any]]:
+    """``{family: Histogram.snapshot()}`` for the histogram families —
+    what :func:`repro.obs.store.record_from_result` persists into
+    ``RunRecord.histograms`` so ``repro runs diff/regress`` can gate on
+    tail latency."""
+    return {fam.name: fam.series[0][1].snapshot()
+            for fam in families if fam.kind == "histogram"}
 
 
 # ----------------------------------------------------------------------
@@ -416,50 +330,45 @@ def _fmt_bound(bound: float) -> str:
     return "+Inf" if bound == math.inf else _fmt_value(bound)
 
 
-def _labels_text(pairs: Iterable[Tuple[str, str]]) -> str:
-    inner = ",".join(f'{sanitize_metric_name(k)}="{_escape_label(v)}"'
-                     for k, v in pairs)
+def _labels_text(pairs: Iterable[Tuple[str, Any]]) -> str:
+    inner = ",".join(
+        f'{sanitize_metric_name(k)}="{_escape_label(str(v))}"'
+        for k, v in pairs)
     return "{" + inner + "}" if inner else ""
 
 
-def render_prometheus(registry: MetricsRegistry) -> str:
-    """The registry in strict Prometheus exposition format.
+def render_prometheus(families: Iterable[Family]) -> str:
+    """``families`` in strict Prometheus exposition format, in order.
 
     One ``# HELP`` + ``# TYPE`` pair per family, histogram families as
     cumulative ``_bucket`` series (``le`` labels, terminal ``+Inf``)
     plus ``_sum`` and ``_count``.
     """
     lines: List[str] = []
-    for name, (kind, help_) in sorted(registry.families().items()):
-        lines.append(f"# HELP {name} {_escape_help(help_)}")
-        lines.append(f"# TYPE {name} {kind}")
-        for series in registry.series(name):
-            labels = series.labels
-            if kind == "histogram":
-                # one atomic read per series: a scrape racing observe()
-                # must never see bucket sums disagree with _count (the
-                # strict parser rejects exactly that)
-                with series._lock:
-                    bucket_counts = list(series.bucket_counts)
-                    count = series.count
-                    total = series.sum
-                cumulative = 0
-                for bound, n in zip(series.bounds, bucket_counts):
-                    cumulative += n
-                    le = labels + (("le", _fmt_bound(bound)),)
-                    lines.append(f"{name}_bucket{_labels_text(le)} "
-                                 f"{cumulative}")
-                le = labels + (("le", "+Inf"),)
-                lines.append(f"{name}_bucket{_labels_text(le)} "
-                             f"{count}")
-                lines.append(f"{name}_sum{_labels_text(labels)} "
-                             f"{_fmt_value(total)}")
-                lines.append(f"{name}_count{_labels_text(labels)} "
-                             f"{count}")
-            else:
+    for fam in families:
+        name = sanitize_metric_name(fam.name)
+        lines.append(f"# HELP {name} {_escape_help(fam.help)}")
+        lines.append(f"# TYPE {name} {fam.kind}")
+        for labels, value in fam.series:
+            if fam.kind != "histogram":
                 lines.append(f"{name}{_labels_text(labels)} "
-                             f"{_fmt_value(series.value)}")
+                             f"{_fmt_value(value)}")
+                continue
+            cumulative = 0
+            for bound, n in zip(value.bounds, value.bucket_counts):
+                cumulative += n
+                le = labels + (("le", _fmt_bound(bound)),)
+                lines.append(f"{name}_bucket{_labels_text(le)} "
+                             f"{cumulative}")
+            le = labels + (("le", "+Inf"),)
+            lines.append(f"{name}_bucket{_labels_text(le)} {value.count}")
+            lines.append(f"{name}_sum{_labels_text(labels)} "
+                         f"{_fmt_value(value.sum)}")
+            lines.append(f"{name}_count{_labels_text(labels)} "
+                         f"{value.count}")
     return "\n".join(lines) + "\n"
+
+
 
 
 # ----------------------------------------------------------------------
@@ -663,7 +572,7 @@ def histogram_percentiles(family: Dict[str, Any]
         buckets.sort()
         finite = [(b, c) for b, c in buckets if b != math.inf]
         total = buckets[-1][1] if buckets else 0
-        hist = Histogram("tmp", (), [b for b, _ in finite] or [1.0])
+        hist = Histogram([b for b, _ in finite] or [1.0])
         previous = 0
         for i, (_, cumulative) in enumerate(finite):
             hist.bucket_counts[i] = int(cumulative - previous)

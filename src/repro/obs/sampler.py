@@ -45,6 +45,11 @@ STALL_EVENT = "run.stalled"
 STALL_HINT = ("no span progress; consider --deadline / "
               "--total-sat-budget / --total-bdd-nodes")
 
+#: ``obs.sample`` tags that are not ``RunCounters`` totals: the
+#: sequence number, the live BDD node count and the memory readings
+NON_COUNTER_TAGS = frozenset({"seq", "bdd_nodes", "mem_kib",
+                              "mem_peak_kib"})
+
 
 class RunSampler:
     """Telemetry snapshots of one run, taken at span boundaries.
@@ -61,9 +66,6 @@ class RunSampler:
         interval_s: minimum seconds between boundary samples; ``0``
             keeps only the start/stop snapshots.
         stall_window_s: span-progress silence that counts as a stall.
-        gauge_hook: optional callable invoked with the trace's metrics
-            registry on every sample — the run supervisor publishes
-            its budget/quarantine heartbeat gauges through this.
         clock: time source; the trace's own clock by default.
         trace_malloc: start ``tracemalloc`` for the duration of the run
             and record the traced-memory peak per sample (KiB).  When
@@ -75,13 +77,11 @@ class RunSampler:
                  bdd_stats: Optional[Callable[[], Dict[str, int]]] = None,
                  interval_s: float = 0.05,
                  stall_window_s: float = 30.0,
-                 gauge_hook: Optional[Callable[[Any], None]] = None,
                  clock: Optional[Callable[[], float]] = None,
                  trace_malloc: bool = False):
         self.trace = trace
         self.counters = counters
         self.bdd_stats = bdd_stats
-        self.gauge_hook = gauge_hook
         self.interval_s = max(0.0, float(interval_s))
         self.stall_window_s = float(stall_window_s)
         self._clock = clock if clock is not None else trace.clock
@@ -155,11 +155,8 @@ class RunSampler:
     def sample(self) -> None:
         """Emit one ``obs.sample`` event and publish the trace snapshot.
 
-        When the trace carries a
-        :class:`~repro.obs.metrics.MetricsRegistry`, each sample also
-        syncs the monotone counter totals into labeled counter series
-        and the live BDD/progress values into gauges, so ``/metrics``
-        scrapes see the same timeline the trace records.
+        The latest sample is where ``/metrics`` reads the counter
+        totals and the BDD/memory gauges of a run still in flight.
         """
         self._last_sample = self._clock()
         self._seq += 1
@@ -175,38 +172,12 @@ class RunSampler:
             tags["mem_kib"] = current // 1024
             tags["mem_peak_kib"] = peak // 1024
         self.trace.event(SAMPLE_EVENT, **tags)
-        self._sync_registry(tags)
         self.trace.publish(self.stall_window_s)
-
-    def _sync_registry(self, tags: Dict[str, Any]) -> None:
-        registry = getattr(self.trace, "metrics", None)
-        if registry is None:
-            return
-        if self.counters is not None:
-            registry.sync_counters(self.counters.as_dict())
-        if "bdd_nodes" in tags:
-            registry.gauge("repro_bdd_live_nodes",
-                           help="cumulative BDD nodes incl. live sessions"
-                           ).set(tags["bdd_nodes"])
-        if self.gauge_hook is not None:
-            try:
-                self.gauge_hook(registry)
-            except Exception:  # a gauge must never take the sample down
-                pass
-        if "mem_peak_kib" in tags:
-            registry.gauge("repro_mem_peak_kib",
-                           help="tracemalloc peak of the current run (KiB)"
-                           ).set(tags["mem_peak_kib"])
-        registry.gauge("repro_trace_progress",
-                       help="monotone span-activity counter"
-                       ).set(self.trace.progress)
-        self._stall_gauge(int(self._stalled))
 
     def _check_stall(self, now: float) -> None:
         idle = now - self._last_change
         if idle >= self.stall_window_s and not self._stalled:
             self._stalled = True
-            self._stall_gauge(1)
             self.trace.event(STALL_EVENT,
                              idle_s=round(idle, 3),
                              window_s=self.stall_window_s,
@@ -216,21 +187,12 @@ class RunSampler:
         if progress != self._last_progress:
             self._last_progress = progress
             self._last_change = now
-            if self._stalled:  # re-arm once the run moves again
-                self._stalled = False
-                self._stall_gauge(0)
+            self._stalled = False  # re-arm once the run moves again
 
     @property
     def stalled(self) -> bool:
         """True from a detected stall until the next span activity."""
         return self._stalled
-
-    def _stall_gauge(self, value: int) -> None:
-        registry = getattr(self.trace, "metrics", None)
-        if registry is not None:
-            registry.gauge("repro_run_stalled",
-                           help="1 while the stall detector is tripped"
-                           ).set(value)
 
 
 def maybe_sampler(trace, **kwargs) -> Optional[RunSampler]:

@@ -3,12 +3,12 @@
 A single daemon thread runs a stdlib ``ThreadingHTTPServer`` for the
 duration of a run, serving
 
-* ``GET /metrics`` — the run's :class:`~repro.obs.metrics
-  .MetricsRegistry` in strict Prometheus exposition format
-  (:func:`~repro.obs.metrics.render_prometheus`: ``# HELP``/``# TYPE``
-  per family, histogram ``_bucket``/``_sum``/``_count`` with ``le``
-  labels and ``+Inf``), followed by the per-phase snapshot the PR 2/4
-  exporter derives from the trace;
+* ``GET /metrics`` — the metric families derived from the trace
+  (:func:`~repro.obs.export.prometheus_text`: latency histograms, run
+  counters, progress/stall/BDD/memory gauges and the per-phase
+  snapshot) in strict Prometheus exposition format: ``# HELP`` and
+  ``# TYPE`` per family, histogram ``_bucket``/``_sum``/``_count``
+  with ``le`` labels and ``+Inf``;
 * ``GET /healthz`` — a JSON liveness document: run name and phase
   (the open span stack), the tracer's monotone progress counter, the
   idle time since the last span activity and the stall verdict, plus
@@ -43,7 +43,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional
 
-from repro.obs.metrics import MetricsRegistry, render_prometheus
+from repro.obs.export import prometheus_text
 
 logger = logging.getLogger("repro.obs")
 
@@ -87,23 +87,22 @@ class MetricsServer:
     """The endpoint's lifecycle: bind, serve on a daemon thread, stop.
 
     Args:
-        registry: the run's metrics registry (``/metrics`` body).
+        trace: the run's trace; both endpoints read its published
+            snapshot (a disabled or missing trace serves an empty
+            ``/metrics`` and a bare ``/healthz``).
         health_provider: zero-argument callable merged into the
             ``/healthz`` document on every request; keep it cheap and
             lock-free (it runs on the request thread).
-        trace: optional trace whose per-phase snapshot is appended to
-            ``/metrics`` (the PR 2/4 ``prometheus_text`` exporter).
         port: TCP port; ``0`` binds an ephemeral one.
         host: bind address (loopback by default — this is an
             introspection endpoint, not a public listener).
     """
 
-    def __init__(self, registry: MetricsRegistry,
+    def __init__(self, trace=None,
                  health_provider: Optional[HealthProvider] = None,
-                 trace=None, port: int = 0, host: str = "127.0.0.1"):
-        self.registry = registry
-        self.health_provider = health_provider
+                 port: int = 0, host: str = "127.0.0.1"):
         self.trace = trace
+        self.health_provider = health_provider
         self._server = _Server((host, port), _Handler)
         self._server.owner = self
         self.host, self.port = self._server.server_address[:2]
@@ -159,20 +158,19 @@ class MetricsServer:
     def metrics_text(self) -> str:
         trace = self._served_trace()
         if trace is None:
-            return render_prometheus(self.registry)
-        from repro.obs.export import prometheus_text
-        return prometheus_text(trace.records(upto=trace.snapshot),
-                               registry=self.registry)
+            return "\n"
+        snap = trace.snapshot
+        return prometheus_text(trace.records(upto=snap), snapshot=snap,
+                               now=trace.now())
 
     def health(self) -> Dict[str, Any]:
         doc: Dict[str, Any] = {"status": "ok"}
         trace = self._served_trace()
         if trace is not None:
             snap = trace.snapshot
-            idle = trace.now() - snap.last_progress_t
-            window = snap.stall_window_s
-            stalled = (window is not None and bool(snap.phase)
-                       and idle >= window)
+            now = trace.now()
+            stalled = snap.stalled(now)
+            idle = now - snap.last_progress_t
             doc.update(run=trace.name, progress=snap.progress,
                        phase=list(snap.phase),
                        spans_finished=snap.spans,
@@ -187,9 +185,9 @@ class MetricsServer:
         return doc
 
 
-def maybe_serve(registry, port: Optional[int],
-                health_provider: Optional[HealthProvider] = None,
-                trace=None) -> Optional[MetricsServer]:
+def maybe_serve(trace, port: Optional[int],
+                health_provider: Optional[HealthProvider] = None
+                ) -> Optional[MetricsServer]:
     """A started server when ``port`` is not ``None``; else ``None``.
 
     Binding failures (port in use, no loopback in the sandbox) degrade
@@ -198,8 +196,8 @@ def maybe_serve(registry, port: Optional[int],
     if port is None:
         return None
     try:
-        return MetricsServer(registry, health_provider=health_provider,
-                             trace=trace, port=port).start()
+        return MetricsServer(trace, health_provider=health_provider,
+                             port=port).start()
     except OSError as exc:
         logger.warning("cannot serve metrics on port %s: %s", port, exc)
         return None

@@ -42,6 +42,7 @@ from repro.obs.atomicio import (
     salvage_jsonl,
     sweep_temp_leftovers,
 )
+from repro.obs.metrics import derive_metrics, histogram_snapshots
 
 logger = logging.getLogger("repro.obs")
 
@@ -90,7 +91,7 @@ class RunRecord:
     lint: Dict[str, Any] = field(default_factory=dict)
     resolution: Dict[str, int] = field(default_factory=dict)
     #: per-family histogram snapshots (count / sum / cumulative buckets
-    #: / derived p50-p95-p99) from the run's metrics registry — the
+    #: / derived p50-p95-p99) derived from the trace's spans — the
     #: substrate of the tail-latency regression gate
     histograms: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     tags: Dict[str, Any] = field(default_factory=dict)
@@ -218,8 +219,7 @@ def record_from_result(result, trace=None, kind: str = "eco",
                        config: Optional[Any] = None,
                        outcome: Optional[str] = None,
                        tags: Optional[Dict[str, Any]] = None,
-                       run_id: Optional[str] = None,
-                       metrics: Optional[Any] = None) -> RunRecord:
+                       run_id: Optional[str] = None) -> RunRecord:
     """Build a :class:`RunRecord` from a ``RectificationResult``.
 
     ``trace`` (when the run was traced) supplies the per-phase summary,
@@ -231,9 +231,8 @@ def record_from_result(result, trace=None, kind: str = "eco",
     up front (journaled runs use the journal's id so ``--resume`` and
     the run record agree); omitted, a fresh id is generated.
 
-    When the trace carries a metrics registry (or ``metrics`` is given
-    explicitly), its per-family histogram snapshots are persisted so
-    ``repro runs diff/regress`` can gate on tail latency.
+    The latency histograms derived from a traced run's spans are
+    persisted so ``repro runs diff/regress`` can gate on tail latency.
     """
     from repro.runtime.clock import now  # lazy: obs sits below runtime
 
@@ -276,10 +275,6 @@ def record_from_result(result, trace=None, kind: str = "eco",
     started_at = now() - float(getattr(result, "runtime_seconds", 0.0))
     screens = counters.get("lint_screens", 0)
     rejects = counters.get("lint_rejects", 0)
-    registry = metrics if metrics is not None else \
-        getattr(trace, "metrics", None)
-    histograms = (registry.histogram_snapshots()
-                  if registry is not None else {})
     record = RunRecord(
         run_id=run_id or new_run_id(started_at),
         kind=kind,
@@ -302,7 +297,7 @@ def record_from_result(result, trace=None, kind: str = "eco",
             "lint_reject_rate": (rejects / screens) if screens else 0.0,
         },
         resolution=resolution,
-        histograms=histograms,
+        histograms=histogram_snapshots(derive_metrics(records)),
         tags=dict(tags or {}),
     )
     return record

@@ -132,6 +132,12 @@ class TraceSnapshot(NamedTuple):
     #: when no stall detector runs
     stall_window_s: Optional[float] = None
 
+    def stalled(self, now: float) -> bool:
+        """True while a phase is open and has been idle, at trace time
+        ``now``, for at least the stall window."""
+        return (self.stall_window_s is not None and bool(self.phase)
+                and now - self.last_progress_t >= self.stall_window_s)
+
 
 class Trace:
     """Collects the spans and events of one rectification run.
@@ -139,23 +145,19 @@ class Trace:
     Args:
         name: run label (usually the implementation's name).
         clock: monotonic time source (injectable for tests).
-        metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
-            when bound, every finished span is routed into its latency
-            histogram family (``sat.validate`` →
-            ``repro_sat_call_seconds``, ...) so ``/metrics`` and the
-            persisted ``RunRecord.histograms`` see live distributions.
+
+    The records are also the run's metrics source:
+    :func:`repro.obs.metrics.derive_metrics` reads histograms, counter
+    totals and gauges off :meth:`records`.
     """
 
     enabled = True
 
     def __init__(self, name: str = "run",
-                 clock: Callable[[], float] = time.monotonic,
-                 metrics=None):
+                 clock: Callable[[], float] = time.monotonic):
         self.name = name
         self.clock = clock
         self.epoch = clock()
-        #: bound MetricsRegistry or None
-        self.metrics = metrics
         #: optional live listener (``span_open(span)`` /
         #: ``span_close(span)``) — parallel workers bind a
         #: :class:`~repro.obs.live.WorkerPublisher` here to stream
@@ -240,8 +242,6 @@ class Trace:
         self.progress += 1
         self.last_progress_t = span.t_end
         self.spans.append(span)
-        if self.metrics is not None:
-            self.metrics.observe_span(span.name, span.duration, span.tags)
         if self.listener is not None:
             self.listener.span_close(span)
 
@@ -368,7 +368,6 @@ class NullTrace:
     events: List[Event] = []
     wall_seconds = 0.0
     progress = 0
-    metrics = None
     listener = None
 
     @property

@@ -86,25 +86,27 @@ class RunCounters:
     replayed_commits: int = 0
 
     # -- mapping-style compatibility -----------------------------------
-    def _names(self) -> Tuple[str, ...]:
-        return tuple(f.name for f in fields(self))
-
     def __getitem__(self, key: str) -> int:
-        if key not in self._names():
+        if key not in _FIELD_NAMES:
             raise KeyError(key)
         return getattr(self, key)
 
     def get(self, key: str, default: int = 0) -> int:
-        return getattr(self, key) if key in self._names() else default
+        return getattr(self, key) if key in _FIELD_NAMES else default
 
     def __contains__(self, key: str) -> bool:
-        return key in self._names()
+        return key in _FIELD_NAMES
 
     def items(self) -> Iterator[Tuple[str, int]]:
-        return iter((f.name, getattr(self, f.name)) for f in fields(self))
+        return iter((name, getattr(self, name)) for name in _FIELD_NAMES)
 
     def as_dict(self) -> Dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
 
     def nonzero(self) -> Dict[str, int]:
         return {k: v for k, v in self.items() if v}
+
+
+#: the counter names, in declaration order (read once: ``as_dict`` runs
+#: at every span open and finish of a traced run)
+_FIELD_NAMES: Tuple[str, ...] = tuple(f.name for f in fields(RunCounters))

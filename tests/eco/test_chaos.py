@@ -248,13 +248,12 @@ class TestWorkerChaos:
         into the main trace alongside the ``output.quarantined``
         events, and all of it must land in the persisted run record.
         """
-        from repro.obs.metrics import MetricsRegistry
         from repro.obs.store import record_from_result
 
         impl, spec = multi_bug_circuits(4)
         injector = FaultInjector().arm(SITE_WORKER, (1, 3),
                                        payload=FAULT_KILL)
-        trace = Trace(name="chaos", metrics=MetricsRegistry())
+        trace = Trace(name="chaos")
         result = rectify(impl, spec,
                          EcoConfig(num_samples=8, jobs=2,
                                    retry_backoff_s=0.0),
@@ -274,9 +273,14 @@ class TestWorkerChaos:
         assert record.events.get("worker.partial_telemetry") == 2
         assert record.events.get("output.quarantined", 0) >= 1
         assert any("eco.worker" in row["phase"] for row in record.phases)
-        # surviving workers streamed their span closes into the live
-        # latency histograms, which persist too
+        # the surviving workers' grafted spans feed the latency
+        # histograms derived for the record; the partial spans do not
         assert "repro_sat_call_seconds" in record.histograms
+        worker_spans = [s for s in trace.spans if s.name == "eco.worker"]
+        assert (record.histograms["repro_sat_call_seconds"]["count"]
+                == sum(1 for s in trace.spans if s.name == "sat.validate"
+                       and not s.tags.get("partial")))
+        assert len(worker_spans) > len(partial)
 
     def test_worker_kill_then_host_kill_then_resume(self, tmp_path):
         """The full gauntlet: a worker dies and is retried, then the

@@ -119,6 +119,28 @@ class TestRunJournal:
         again = RunJournal("r1", store_root=store, resume=True)
         assert again.state.salvaged is None
 
+    def test_bound_appends_are_trace_spans(self, tmp_path):
+        """Each append is one ``journal.append`` span on the bound
+        trace, which is where ``repro_journal_append_seconds`` comes
+        from; an unbound journal traces nothing."""
+        from repro.obs.metrics import derive_metrics, histogram_snapshots
+        from repro.obs.trace import Trace
+
+        store = str(tmp_path)
+        RunJournal("quiet", store_root=store).start(
+            "adder", EcoConfig(), ["o1"])
+        trace = Trace(name="adder")
+        journal = RunJournal("r1", store_root=store)
+        journal.bind(None, trace=trace)
+        journal.start("adder", EcoConfig(), ["o1"])
+        journal.record_commit("o1", "rewire", [], ["o1"])
+        journal.finish("ok")
+        with open(journal.path, encoding="utf-8") as fh:
+            lines = len(fh.readlines())
+        assert [s.name for s in trace.spans] == ["journal.append"] * lines
+        snaps = histogram_snapshots(derive_metrics(trace.records()))
+        assert snaps["repro_journal_append_seconds"]["count"] == lines
+
     def test_store_root_resolves_from_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RUN_STORE", str(tmp_path / "env"))
         journal = RunJournal("r1")

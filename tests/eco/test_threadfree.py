@@ -19,7 +19,7 @@ from repro.cec.equivalence import check_equivalence
 from repro.eco import parallel
 from repro.eco.config import EcoConfig
 from repro.eco.engine import rectify
-from repro.obs import MetricsRegistry, Trace
+from repro.obs import Trace
 from repro.workloads.figures import example1_circuits
 
 from tests.eco.test_parallel import multi_bug_circuits
@@ -88,7 +88,7 @@ def contexts(monkeypatch):
 
 
 def traced(config, impl, spec):
-    trace = Trace(name=impl.name, metrics=MetricsRegistry())
+    trace = Trace(name=impl.name)
     audit = ThreadAudit()
     trace.listener = audit
     result = rectify(impl, spec, config, trace=trace)

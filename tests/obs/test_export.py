@@ -98,7 +98,7 @@ class TestPrometheus:
         assert 'repro_phase_calls_total{phase="root"} 1' in text
         assert 'repro_phase_calls_total{phase="root/work"} 1' in text
         assert 'repro_run_degraded 0' in text
-        assert ('repro_run_counter_total{counter="sat_conflicts_spent"} 3'
+        assert ('repro_counter_total{counter="sat_conflicts_spent"} 3'
                 in text)
         path = str(tmp_path / "m.prom")
         write_prometheus(sample_trace, path)

@@ -7,14 +7,8 @@ path is exercised by the parallel-engine integration tests.
 
 import queue
 
-from repro.obs.live import (
-    HEARTBEAT_GAUGE,
-    WORKERS_GAUGE,
-    LiveAggregator,
-    LiveBus,
-    WorkerPublisher,
-)
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.live import LiveAggregator, LiveBus, WorkerPublisher
+from repro.obs.metrics import derive_metrics
 from repro.obs.trace import Trace
 
 
@@ -34,7 +28,14 @@ class FakeCounters:
         return dict(self.totals)
 
 
-def make_pair(registry=None):
+def histogram_counts(trace):
+    """``{family: count}`` of the histograms derived from ``trace``."""
+    return {f.name: f.series[0][1].count
+            for f in derive_metrics(trace.records())
+            if f.kind == "histogram"}
+
+
+def make_pair():
     """A worker trace publishing onto a bus an aggregator consumes."""
     clock = FakeClock()
     bus = LiveBus.create(inline=True)
@@ -44,7 +45,7 @@ def make_pair(registry=None):
     worker_trace = Trace(name="worker", clock=clock)
     worker_trace.listener = publisher
     main = Trace(name="main", clock=clock)
-    aggregator = LiveAggregator(main, bus, registry=registry, clock=clock)
+    aggregator = LiveAggregator(main, bus, clock=clock)
     return clock, counters, worker_trace, main, aggregator
 
 
@@ -92,25 +93,25 @@ class TestWorkerPublisher:
 
 
 class TestLiveAggregator:
-    def test_streamed_close_feeds_the_registry(self):
-        registry = MetricsRegistry()
-        _, _, worker_trace, _, aggregator = make_pair(registry)
+    def test_streamed_close_waits_for_reconciliation(self):
+        """A streamed span reaches the main trace, and so the derived
+        metrics, only when its worker is reconciled."""
+        _, _, worker_trace, main, aggregator = make_pair()
         with worker_trace.span("sat.validate"):
             pass
         aggregator.pump()
-        (series,) = registry.series("repro_sat_call_seconds")
-        assert series.count == 1
+        assert histogram_counts(main) == {}
+        aggregator.flush_dead("o1@1")
+        assert histogram_counts(main) == {"repro_sat_call_seconds": 1}
 
-    def test_heartbeat_updates_gauges(self):
-        registry = MetricsRegistry()
-        clock, counters, worker_trace, _, aggregator = make_pair(registry)
+    def test_heartbeat_updates_worker_counters(self):
+        clock, counters, worker_trace, _, aggregator = make_pair()
         counters.totals = {"plan_evals": 5}
         worker_trace.listener.heartbeat(force=True)
         aggregator.pump()
-        (workers,) = registry.series(WORKERS_GAUGE)
-        assert workers.value == 1
-        (beat,) = registry.series(HEARTBEAT_GAUGE)
-        assert beat.value == clock.t
+        clock.t += 1.5
+        assert aggregator.snapshot()["o1@1"]["age_s"] == 1.5
+        assert aggregator.flush_dead("o1@1") == {"plan_evals": 5}
 
     def test_discard_drops_the_buffer(self):
         """A worker that returns normally grafts via its shipped
@@ -126,9 +127,7 @@ class TestLiveAggregator:
         assert aggregator.flush_dead("o1@1") == {}
 
     def test_flush_dead_grafts_closed_and_synthesizes_open(self):
-        registry = MetricsRegistry()
-        clock, counters, worker_trace, main, aggregator = \
-            make_pair(registry)
+        clock, counters, worker_trace, main, aggregator = make_pair()
         counters.totals = {"sat_conflicts_spent": 40, "plan_evals": 7}
         outer = worker_trace.span("eco.worker")
         inner = worker_trace.span("sat.validate")
@@ -151,6 +150,21 @@ class TestLiveAggregator:
         assert event.tags["worker"] == "o1@1"
         assert event.tags["spans"] == 2
         outer.finish()
+
+    def test_flush_dead_partial_spans_are_not_counted(self):
+        """A span still open at the worker's death is grafted with
+        ``partial=True``; its made-up duration must not reach the
+        latency histograms."""
+        clock, _, worker_trace, main, aggregator = make_pair()
+        worker_trace.span("eco.output")                # open at death
+        with worker_trace.span("sat.validate"):
+            clock.t += 1.0
+        worker_trace.span("sat.validate")              # open at death
+        aggregator.pump()
+        aggregator.flush_dead("o1@1")
+        partial = [s.name for s in main.spans if s.tags.get("partial")]
+        assert sorted(partial) == ["eco.output", "sat.validate"]
+        assert histogram_counts(main) == {"repro_sat_call_seconds": 1}
 
     def test_flush_dead_unknown_worker_is_empty(self):
         _, _, _, main, aggregator = make_pair()
@@ -177,10 +191,6 @@ class TestLiveBus:
         assert len(bus.drain()) == 1
         assert bus.drain() == []
         bus.close()                                   # no-op, no error
-
-    def test_get_times_out_to_none(self):
-        bus = LiveBus.create(inline=True)
-        assert bus.get(timeout=0.01) is None
 
 
 class TestFlushDeadRaces:

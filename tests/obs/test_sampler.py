@@ -209,21 +209,30 @@ class TestStallDetector:
         assert not sampler.stalled                 # re-armed by progress
 
     def test_stall_gauge_follows_the_detector(self):
-        from repro.obs.metrics import MetricsRegistry
+        """The derived ``repro_run_stalled`` gauge reads the published
+        snapshot's stall verdict, as a mid-run scrape sees it."""
+        from repro.obs.metrics import derive_metrics
+
+        def stalled_gauge():
+            snap = trace.snapshot
+            (family,) = [f for f in derive_metrics(
+                trace.records(upto=snap), snap, now=trace.now())
+                if f.name == "repro_run_stalled"]
+            return family.series[0][1]
 
         clock = FakeClock()
-        registry = MetricsRegistry()
-        trace = Trace(name="t", clock=clock, metrics=registry)
+        trace = Trace(name="t", clock=clock)
         sampler = RunSampler(trace, interval_s=0, stall_window_s=5.0)
         with trace.span("root"):
             sampler.start()
+            assert stalled_gauge() == 0
             clock.t = 6.0
             sampler.tick()
-            (gauge,) = registry.series("repro_run_stalled")
-            assert gauge.value == 1
+            assert stalled_gauge() == 1
             with trace.span("work"):
                 pass
-            assert gauge.value == 0
+            sampler.tick()
+            assert stalled_gauge() == 0
             sampler.stop()
 
 

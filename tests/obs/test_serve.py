@@ -6,7 +6,7 @@ import urllib.request
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry, parse_prometheus_text
+from repro.obs.metrics import parse_prometheus_text
 from repro.obs.sampler import RunSampler
 from repro.obs.serve import MetricsServer, maybe_serve
 from repro.obs.trace import Trace
@@ -27,18 +27,20 @@ def fetch(url):
 
 
 @pytest.fixture
-def registry():
-    reg = MetricsRegistry()
-    reg.counter("repro_counter_total", {"counter": "sat_validations"},
-                help="RunCounters totals").inc(9)
-    reg.histogram("repro_sat_call_seconds",
-                  help="SAT call latency").observe(0.004)
-    return reg
+def traced():
+    """A trace with one SAT call and one sample, published."""
+    trace = Trace(name="t")
+    with trace.span("eco.rectify"):
+        with trace.span("sat.validate"):
+            pass
+        trace.event("obs.sample", seq=1, sat_validations=9)
+    trace.publish()
+    return trace
 
 
 class TestMetricsEndpoint:
-    def test_metrics_payload_is_conformant(self, registry):
-        with MetricsServer(registry) as server:
+    def test_metrics_payload_is_conformant(self, traced):
+        with MetricsServer(traced) as server:
             status, ctype, body = fetch(server.url + "/metrics")
         assert status == 200
         assert ctype.startswith("text/plain")
@@ -46,48 +48,45 @@ class TestMetricsEndpoint:
         assert families["repro_sat_call_seconds"]["type"] == "histogram"
         assert families["repro_counter_total"]["samples"][0][2] == 9.0
 
-    def test_metrics_include_trace_phase_snapshot(self, registry):
-        trace = Trace(name="t", metrics=registry)
-        with trace.span("eco.rectify"):
-            pass
-        trace.publish()
-        with MetricsServer(registry, trace=trace) as server:
+    def test_metrics_include_trace_phase_snapshot(self, traced):
+        with MetricsServer(traced) as server:
             _, _, body = fetch(server.url + "/metrics")
         families = parse_prometheus_text(body)
-        # registry families and trace-derived phase families coexist in
-        # one conformant payload
+        # derived metric families and the phase table coexist in one
+        # conformant payload
         assert "repro_sat_call_seconds" in families
+        assert families["repro_trace_progress"]["samples"][0][2] == 4.0
         assert any(name.startswith("repro_phase_") or
                    name.startswith("repro_run_") for name in families)
 
-    def test_phase_table_covers_only_published_spans(self, registry):
-        trace = Trace(name="t", metrics=registry)
+    def test_phase_table_covers_only_published_spans(self):
+        trace = Trace(name="t")
         with trace.span("eco.diagnose"):
             pass
         trace.publish()
         with trace.span("eco.output"):   # finished after the snapshot
             pass
-        server = MetricsServer(registry, trace=trace)
+        server = MetricsServer(trace)
         families = parse_prometheus_text(server.metrics_text())
         server.stop()
         phases = {dict(labels)["phase"] for _, labels, _ in
                   families["repro_phase_calls_total"]["samples"]}
         assert phases == {"eco.diagnose"}
 
-    def test_unknown_path_is_404(self, registry):
-        with MetricsServer(registry) as server:
+    def test_unknown_path_is_404(self, traced):
+        with MetricsServer(traced) as server:
             with pytest.raises(urllib.error.HTTPError) as err:
                 fetch(server.url + "/nope")
             assert err.value.code == 404
 
 
 class TestHealthz:
-    def test_health_reports_phase_stack_and_progress(self, registry):
-        trace = Trace(name="demo", metrics=registry)
+    def test_health_reports_phase_stack_and_progress(self):
+        trace = Trace(name="demo")
         span = trace.span("eco.rectify")
         inner = trace.span("eco.output", output="o1")
         trace.publish()                 # what the sampler does per sample
-        with MetricsServer(registry, trace=trace) as server:
+        with MetricsServer(trace) as server:
             _, ctype, body = fetch(server.url + "/healthz")
         inner.finish()
         span.finish()
@@ -99,11 +98,11 @@ class TestHealthz:
         assert doc["progress"] == 2
         assert doc["stalled"] is False
 
-    def test_health_reads_only_the_published_snapshot(self, registry):
-        trace = Trace(name="demo", metrics=registry)
+    def test_health_reads_only_the_published_snapshot(self):
+        trace = Trace(name="demo")
         trace.publish()
         span = trace.span("eco.rectify")  # not published yet
-        server = MetricsServer(registry, trace=trace)
+        server = MetricsServer(trace)
         doc = server.health()
         assert doc["phase"] == []
         assert doc["progress"] == 0
@@ -112,12 +111,12 @@ class TestHealthz:
         span.finish()
         server.stop()
 
-    def test_stall_event_flips_the_status(self, registry):
+    def test_stall_event_flips_the_status(self):
         clock = FakeClock()
         trace = Trace(name="demo", clock=clock)
         trace.span("eco.rectify")
         trace.publish(stall_window_s=5.0)
-        server = MetricsServer(registry, trace=trace)
+        server = MetricsServer(trace)
         clock.t = 4.0
         assert server.health()["status"] == "ok"
         clock.t = 6.0
@@ -127,7 +126,7 @@ class TestHealthz:
         assert doc["idle_s"] == 6.0
         server.stop()
 
-    def test_status_recovers_once_the_run_moves_again(self, registry):
+    def test_status_recovers_once_the_run_moves_again(self):
         """A stall, then progress: ``/healthz`` reads ``ok`` again even
         though the trace keeps its ``run.stalled`` event."""
         clock = FakeClock()
@@ -135,7 +134,7 @@ class TestHealthz:
         root = trace.span("eco.rectify")
         sampler = RunSampler(trace, interval_s=1.0, stall_window_s=5.0)
         sampler.start()
-        server = MetricsServer(registry, trace=trace)
+        server = MetricsServer(trace)
         clock.t = 10.0
         assert server.health()["status"] == "stalled"
         with trace.span("eco.output"):      # progress, and a sample
@@ -148,19 +147,19 @@ class TestHealthz:
         sampler.stop()
         server.stop()
 
-    def test_finished_run_is_not_stalled(self, registry):
+    def test_finished_run_is_not_stalled(self):
         clock = FakeClock()
         trace = Trace(name="demo", clock=clock)
         trace.span("eco.rectify").finish()
         trace.publish(stall_window_s=5.0)
-        server = MetricsServer(registry, trace=trace)
+        server = MetricsServer(trace)
         clock.t = 60.0
         assert server.health()["status"] == "ok"
         server.stop()
 
-    def test_health_provider_merges_and_degrades(self, registry):
+    def test_health_provider_merges_and_degrades(self):
         server = MetricsServer(
-            registry, health_provider=lambda: {"outputs_done": 3})
+            health_provider=lambda: {"outputs_done": 3})
         assert server.health()["outputs_done"] == 3
         server.health_provider = lambda: 1 // 0
         doc = server.health()
@@ -169,23 +168,23 @@ class TestHealthz:
 
 
 class TestMaybeServe:
-    def test_none_port_means_no_server(self, registry):
-        assert maybe_serve(registry, None) is None
+    def test_none_port_means_no_server(self, traced):
+        assert maybe_serve(traced, None) is None
 
-    def test_port_zero_binds_ephemeral(self, registry):
-        server = maybe_serve(registry, 0)
+    def test_port_zero_binds_ephemeral(self, traced):
+        server = maybe_serve(traced, 0)
         try:
             assert server is not None
             assert server.port != 0
         finally:
             server.stop()
 
-    def test_bind_failure_degrades_to_none(self, registry):
-        holder = MetricsServer(registry).start()
+    def test_bind_failure_degrades_to_none(self, traced):
+        holder = MetricsServer(traced).start()
         try:
             # the exact port is taken; telemetry must not take the
             # run down
-            assert maybe_serve(registry, holder.port) is None
+            assert maybe_serve(traced, holder.port) is None
         finally:
             holder.stop()
 
@@ -193,28 +192,28 @@ class TestMaybeServe:
 class TestShutdown:
     """Idempotent, leak-free teardown: the PR's port-rebind satellite."""
 
-    def test_stop_is_idempotent(self, registry):
-        server = MetricsServer(registry).start()
+    def test_stop_is_idempotent(self, traced):
+        server = MetricsServer(traced).start()
         server.stop()
         server.stop()
         server.stop()  # any number of times, no raise
 
-    def test_stop_without_start_closes_socket(self, registry):
-        server = MetricsServer(registry)
+    def test_stop_without_start_closes_socket(self, traced):
+        server = MetricsServer(traced)
         port = server.port
         server.stop()  # never started: must still release the socket
-        rebound = MetricsServer(registry, port=port)
+        rebound = MetricsServer(traced, port=port)
         rebound.stop()
 
-    def test_sequential_runs_bind_the_same_port(self, registry):
-        first = MetricsServer(registry).start()
+    def test_sequential_runs_bind_the_same_port(self, traced):
+        first = MetricsServer(traced).start()
         port = first.port
         status, _, _ = fetch(first.url + "/healthz")
         assert status == 200
         first.stop()
 
         # the exact port the first run used must be free immediately
-        second = MetricsServer(registry, port=port).start()
+        second = MetricsServer(traced, port=port).start()
         try:
             assert second.port == port
             status, _, _ = fetch(second.url + "/metrics")
@@ -222,10 +221,10 @@ class TestShutdown:
         finally:
             second.stop()
 
-    def test_serve_thread_joined_on_stop(self, registry):
+    def test_serve_thread_joined_on_stop(self, traced):
         import threading
 
-        server = MetricsServer(registry).start()
+        server = MetricsServer(traced).start()
         server.stop()
         assert not [t for t in threading.enumerate()
                     if t.name == "repro-obs-serve" and t.is_alive()]

@@ -353,10 +353,10 @@ class TestHistogramPersistence:
 
 
 class TestRecordFromResult:
-    def run_case(self, injector=None, metrics=None):
+    def run_case(self, injector=None):
         impl, spec = example1_circuits(width=2)
         config = EcoConfig(num_samples=8)
-        trace = Trace(name=impl.name, metrics=metrics)
+        trace = Trace(name=impl.name)
         result = rectify(impl, spec, config, injector=injector,
                          trace=trace)
         return record_from_result(result, trace=trace, kind="test",
@@ -398,8 +398,7 @@ class TestRecordFromResult:
         assert ts == sorted(ts)
 
     def test_trace_registry_histograms_persist(self):
-        from repro.obs.metrics import MetricsRegistry
-        rec = self.run_case(metrics=MetricsRegistry())
+        rec = self.run_case()
         assert "repro_sat_call_seconds" in rec.histograms
         snap = rec.histograms["repro_sat_call_seconds"]
         assert snap["count"] > 0

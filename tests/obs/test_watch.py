@@ -1,6 +1,6 @@
 """``repro watch`` rendering: pure functions, both frame sources."""
 
-from repro.obs.metrics import MetricsRegistry, parse_prometheus_text, \
+from repro.obs.metrics import derive_metrics, parse_prometheus_text, \
     render_prometheus
 from repro.obs.store import RunRecord
 from repro.obs.watch_cli import (
@@ -120,13 +120,11 @@ class TestRenderHelpers:
 
 class TestRenderLive:
     def scraped_families(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_counter_total",
-                    {"counter": "sat_validations"}).inc(12)
-        h = reg.histogram("repro_sat_call_seconds", help="SAT latency")
-        for _ in range(4):
-            h.observe(0.003)
-        return parse_prometheus_text(render_prometheus(reg))
+        records = [{"type": "meta", "counters": {"sat_validations": 12}}]
+        records += [{"type": "span", "name": "sat.validate", "ts": 0.0,
+                     "dur": 0.003, "tags": {}}] * 4
+        return parse_prometheus_text(
+            render_prometheus(derive_metrics(records)))
 
     def test_live_frame_sections(self):
         health = {"status": "ok", "run": "demo", "progress": 7,

@@ -190,15 +190,15 @@ class TestServeAndWatch:
         assert "repro_sat_call_seconds" in out
 
     def test_watch_live_endpoint_once(self, capsys):
-        from repro.obs import MetricsServer, MetricsRegistry, Trace
+        from repro.obs import MetricsServer, Trace
 
-        registry = MetricsRegistry()
-        trace = Trace(name="demo", metrics=registry)
+        trace = Trace(name="demo")
         with trace.span("eco.rectify"):
             with trace.span("sat.validate"):
                 pass
-        registry.sync_counters({"sat_validations": 4})
-        with MetricsServer(registry, trace=trace) as server:
+            trace.event("obs.sample", seq=1, sat_validations=4)
+        trace.publish()
+        with MetricsServer(trace) as server:
             assert main(["watch", "--url", server.url, "--once"]) == 0
         out = capsys.readouterr().out
         assert "run demo" in out
